@@ -36,20 +36,61 @@ let fill_range t ~lba ~count =
   done;
   !newly
 
+(* --- scans ---
+
+   Sector [i] is bit [i land 7] of byte [i lsr 3], so the 64 sectors from
+   a multiple of 64 are one little-endian int64 word. [seek] returns the
+   first sector in [\[i, limit)] whose bit equals [want], or [limit]. It
+   passes over whole words and whole bytes that hold no [want] bit and
+   tests single bits only between them, at a run's edges. A word or byte
+   is read only when it ends at or before [limit], and callers keep
+   [limit <= sectors], so padding bits past [sectors] (which [of_bytes]
+   may load) are never seen. Top-level tail recursion keeps a scan free
+   of allocation. *)
+
+let bit bits i =
+  Char.code (Bytes.unsafe_get bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let byte_skips bits ~want i =
+  let b = Char.code (Bytes.unsafe_get bits (i lsr 3)) in
+  if want then b = 0 else b = 0xff
+
+let word_skips bits ~want i =
+  let w = Bytes.get_int64_le bits (i lsr 3) in
+  if want then w = 0L else w = -1L
+
+let rec seek bits ~want i limit =
+  if i >= limit then limit
+  else if i land 63 = 0 && i + 64 <= limit && word_skips bits ~want i then
+    seek bits ~want (i + 64) limit
+  else if i land 7 = 0 && i + 8 <= limit && byte_skips bits ~want i then
+    seek bits ~want (i + 8) limit
+  else if bit bits i = want then i
+  else seek bits ~want (i + 1) limit
+
+(* The bounds check of a per-sector walk over [lba, lba + count): it
+   raises for the first sector out of range, as [is_filled] would. *)
+let check_range t ~lba ~count =
+  if count > 0 then begin
+    check t lba;
+    if lba + count > t.sectors then check t t.sectors
+  end
+
 let empty_subranges t ~lba ~count =
-  let acc = ref [] in
-  let run_start = ref (-1) in
-  for i = lba to lba + count - 1 do
-    if not (is_filled t i) then begin
-      if !run_start < 0 then run_start := i
-    end
-    else if !run_start >= 0 then begin
-      acc := (!run_start, i - !run_start) :: !acc;
-      run_start := -1
-    end
-  done;
-  if !run_start >= 0 then acc := (!run_start, lba + count - !run_start) :: !acc;
-  List.rev !acc
+  check_range t ~lba ~count;
+  let limit = lba + count in
+  let rec runs i acc =
+    let s = seek t.bits ~want:false i limit in
+    if s >= limit then List.rev acc
+    else
+      let e = seek t.bits ~want:true (s + 1) limit in
+      runs e ((s, e - s) :: acc)
+  in
+  runs lba []
+
+let range_filled t ~lba ~count =
+  check_range t ~lba ~count;
+  seek t.bits ~want:false lba (lba + count) >= lba + count
 
 let filled_count t = t.filled
 let is_complete t = t.filled = t.sectors
@@ -58,36 +99,23 @@ let find_empty_run t ~from ~max =
   if is_complete t then None
   else begin
     let from = if from < 0 || from >= t.sectors then 0 else from in
-    (* Find the first empty sector at or after [pos], scanning by bytes
-       for speed. *)
-    let first_empty_at pos limit =
-      let i = ref pos in
-      let found = ref (-1) in
-      while !found < 0 && !i < limit do
-        if !i land 7 = 0 && Bytes.get t.bits (!i lsr 3) = '\xff' then
-          i := !i + 8
-        else begin
-          if not (is_filled t !i) then found := !i;
-          incr i
-        end
-      done;
-      !found
-    in
     let start =
-      match first_empty_at from t.sectors with
-      | -1 -> first_empty_at 0 from
-      | s -> s
+      let s = seek t.bits ~want:false from t.sectors in
+      if s < t.sectors then s
+      else begin
+        let s = seek t.bits ~want:false 0 from in
+        assert (s < from);
+        s
+      end
     in
-    assert (start >= 0);
-    let len = ref 1 in
-    while
-      !len < max
-      && start + !len < t.sectors
-      && not (is_filled t (start + !len))
-    do
-      incr len
-    done;
-    Some (start, !len)
+    (* A run is at least one sector long, even when [max <= 1]. *)
+    let limit =
+      if max <= 1 then start + 1
+      else if max >= t.sectors - start then t.sectors
+      else start + max
+    in
+    let stop = seek t.bits ~want:true (start + 1) limit in
+    Some (start, stop - start)
   end
 
 let to_bytes t = Bytes.copy t.bits

@@ -21,15 +21,32 @@ val set_filled : t -> int -> bool
 val fill_range : t -> lba:int -> count:int -> int
 (** Mark a range filled; returns how many sectors were newly filled. *)
 
+(** {2 Scans}
+
+    The scans below pass over whole 64-sector words and whole bytes that
+    hold nothing they look for, testing single sectors only at a run's
+    edges, so each costs O(span / 64) plus the runs it returns. They
+    never read past [sectors t], so padding bits loaded by {!of_bytes}
+    stay invisible. *)
+
 val empty_subranges : t -> lba:int -> count:int -> (int * int) list
-(** Maximal empty [(lba, count)] sub-ranges within a range, ascending. *)
+(** Maximal empty [(lba, count)] sub-ranges within a range, ascending.
+    [[]] when [count <= 0]; otherwise raises [Invalid_argument] if the
+    range leaves the map. *)
+
+val range_filled : t -> lba:int -> count:int -> bool
+(** [range_filled t ~lba ~count] is [empty_subranges t ~lba ~count = []]
+    (bounds checks included) without building the list: it allocates
+    nothing. *)
 
 val filled_count : t -> int
 val is_complete : t -> bool
 
 val find_empty_run : t -> from:int -> max:int -> (int * int) option
 (** First empty run at-or-after [from] (wrapping once), clipped to
-    [max] sectors. [None] iff the map is complete. *)
+    [max] sectors, and at least one sector long even when [max <= 1].
+    A [from] outside the map searches from 0. The run never wraps past
+    the last sector. [None] iff the map is complete. *)
 
 val to_bytes : t -> Bytes.t
 val of_bytes : sectors:int -> Bytes.t -> t

@@ -265,7 +265,7 @@ let deployment t =
           (fun (lba, count) ->
             let lba = min lba (t.params.Params.image_sectors - 1) in
             let count = min count (t.params.Params.image_sectors - lba) in
-            if Bitmap.empty_subranges t.bitmap ~lba ~count <> [] then begin
+            if not (Bitmap.range_filled t.bitmap ~lba ~count) then begin
               let data = Aoe_client.read t.aoe ~lba ~count in
               ignore (med_vmm_write_empty t ~lba ~count data : int)
             end)
@@ -427,7 +427,7 @@ let boot machine ~params ~server_port ?route ?on_aoe_response ?mcast_group
         if lba >= 0 && count > 0 && lba + count <= params.Params.image_sectors
         then begin
           t.last_mcast_at <- Some (Sim.now machine.Machine.sim);
-          if Bitmap.empty_subranges bitmap ~lba ~count = [] then
+          if Bitmap.range_filled bitmap ~lba ~count then
             t.mcast_dups <- t.mcast_dups + 1
           else begin
             let copy = Content.Scratch.alloc count in

@@ -256,7 +256,7 @@ let deploy_fleet ?(seed = 42) ?(image_mb = 256)
                         let lba = c * cs in
                         let count = min cs (image_sectors - lba) in
                         count > 0
-                        && Bitmap.empty_subranges b ~lba ~count = []
+                        && Bitmap.range_filled b ~lba ~count
                         && Disk.mapped_sectors_in disk ~lba ~count = count
                     in
                     let agent =
