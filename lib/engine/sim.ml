@@ -25,6 +25,9 @@ type t = {
   mutable stop_requested : bool;
   mutable daemons : int; (* queued Job_daemon events; see [run] *)
   trace_ : Trace.t;
+  trace_sim : bool;
+      (* [Trace.on trace_ ~cat:"sim"]: a tracer's filter never changes,
+         so the hot paths test this instead of hashing "sim" each time *)
   metrics_ : Metrics.t;
   profile_ : Profile.t;
   mutable effs_ : effs option;
@@ -78,6 +81,7 @@ let create_base ?(seed = 42) ?(trace = Trace.null) ?(metrics = Metrics.null)
       stop_requested = false;
       daemons = 0;
       trace_ = trace;
+      trace_sim = Trace.on trace ~cat:"sim";
       metrics_ = metrics;
       profile_ = profile;
       effs_ = None }
@@ -151,7 +155,7 @@ let make_effs sim =
         Some
           (fun k ->
             let at = Time.add sim.clock (max !sleep_cell 0) in
-            if Trace.sample sim.trace_ ~cat:"sim" then begin
+            if sim.trace_sim && Trace.sample sim.trace_ ~cat:"sim" then begin
               let ts = sim.clock in
               push_job sim at
                 (Job_fn
@@ -172,7 +176,7 @@ let make_effs sim =
                would crash loudly anyway. *)
             register
               (fun () ->
-                if Trace.sample sim.trace_ ~cat:"sim" then
+                if sim.trace_sim && Trace.sample sim.trace_ ~cat:"sim" then
                   Trace.instant sim.trace_ ~cat:"sim" "wake";
                 push_job sim sim.clock (Job_k k);
                 true));
@@ -184,7 +188,7 @@ let make_effs sim =
             let child_name = e.spawn_name and body = e.spawn_body in
             e.spawn_name <- None;
             e.spawn_body <- no_body;
-            if Trace.sample sim.trace_ ~cat:"sim" then
+            if sim.trace_sim && Trace.sample sim.trace_ ~cat:"sim" then
               Trace.instant sim.trace_ ~cat:"sim"
                 ~args:
                   [ ("proc", Trace.Str (Option.value child_name ~default:"?")) ]
@@ -228,7 +232,7 @@ let rec exec_process sim name f =
                   if !fired then false
                   else begin
                     fired := true;
-                    if Trace.sample sim.trace_ ~cat:"sim" then
+                    if sim.trace_sim && Trace.sample sim.trace_ ~cat:"sim" then
                       Trace.instant sim.trace_ ~cat:"sim" "wake";
                     push_job sim sim.clock (Job_kv (k, v));
                     true
@@ -287,7 +291,7 @@ let run ?until sim =
         else begin
           sim.clock <- t;
           sim.executed <- sim.executed + 1;
-          if sim.executed land 8191 = 0 && Trace.on sim.trace_ ~cat:"sim" then begin
+          if sim.executed land 8191 = 0 && sim.trace_sim then begin
             Trace.counter sim.trace_ ~cat:"sim" "events_executed"
               (float_of_int sim.executed);
             Trace.counter sim.trace_ ~cat:"sim" "event_queue_depth"
