@@ -43,7 +43,8 @@ type t = {
   m_done : float ref;
 }
 
-(* The bitmap covers exactly the image region. *)
+(* The bitmap covers exactly the image region (see [start]), so every
+   run it returns lies inside the image. *)
 let image_complete t = Bitmap.is_complete t.bitmap
 
 let overlaps_in_flight t ~lba ~count =
@@ -114,8 +115,7 @@ let rec retriever t =
         Sim.sleep t.params.Params.write_interval;
         retriever t
       end
-    | Some (lba, count) when lba < t.params.Params.image_sectors ->
-      let count = min count (t.params.Params.image_sectors - lba) in
+    | Some (lba, count) ->
       t.in_flight <- (lba, count) :: t.in_flight;
       let tr = Sim.trace t.sim in
       let traced = Trace.on tr ~cat:"bgcopy" in
@@ -153,10 +153,6 @@ let rec retriever t =
           retriever t
         end
         else raise e)
-    | Some _ ->
-      (* Wrapped past the image: restart from the beginning. *)
-      t.cursor <- 0;
-      retriever t
   end
   else finish t
 
@@ -242,6 +238,8 @@ let progress t =
     /. float_of_int t.params.Params.image_sectors)
 
 let start sim ~params ~bitmap ~ops ?owner () =
+  if Bitmap.sectors bitmap <> params.Params.image_sectors then
+    invalid_arg "Background_copy.start: bitmap does not cover the image";
   let t =
     { sim;
       params;

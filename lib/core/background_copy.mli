@@ -33,8 +33,11 @@ val start :
   ?owner:string ->
   unit ->
   t
-(** Spawn the retriever and writer threads. [owner] is the owning
-    machine's name; when set, fetch/write-chunk spans carry
+(** Spawn the retriever and writer threads. [bitmap] must cover exactly
+    the image ([Bitmap.sectors bitmap = params.image_sectors], as
+    [Vmm.boot] sizes it), so every run the retriever finds lies inside
+    the image; raises [Invalid_argument] otherwise. [owner] is the
+    owning machine's name; when set, fetch/write-chunk spans carry
     ["m"]/["stage"] args for [Bmcast_obs.Analytics]. *)
 
 val stop : t -> unit
