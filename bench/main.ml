@@ -1,102 +1,14 @@
 (* Benchmark harness: regenerates every figure of the paper's evaluation
    (Figures 4-14), the design-choice ablations, the multi-instance
-   scale-up study, and Bechamel micro-benchmarks of the simulator's hot
-   paths.
+   scale-up study, and on request the fleet sweeps and the engine
+   hot-path benchmark. Isolated timings of single hot paths (bitmap,
+   extent map, AoE codec, PRNG) live in the repository benchmark,
+   benchmark/.
 
      dune exec bench/main.exe            # everything
-     dune exec bench/main.exe -- fig4 fig10
-     dune exec bench/main.exe -- micro *)
+     dune exec bench/main.exe -- fig4 fig10 *)
 
 open Bmcast_experiments
-
-(* --- Bechamel micro-benchmarks of simulator hot paths --- *)
-
-let micro_tests () =
-  let open Bechamel in
-  let heap_churn =
-    let h = Bmcast_engine.Heap.create () in
-    let prng = Bmcast_engine.Prng.create 7 in
-    Test.make ~name:"heap push+pop"
-      (Staged.stage (fun () ->
-           Bmcast_engine.Heap.push h (Bmcast_engine.Prng.int prng 1_000_000) ();
-           ignore (Bmcast_engine.Heap.pop h)))
-  in
-  let bitmap_fill =
-    let bm = Bmcast_core.Bitmap.create ~sectors:(1 lsl 20) in
-    let pos = ref 0 in
-    Test.make ~name:"bitmap fill_range(64)"
-      (Staged.stage (fun () ->
-           ignore
-             (Bmcast_core.Bitmap.fill_range bm ~lba:!pos ~count:64 : int);
-           pos := (!pos + 64) land ((1 lsl 20) - 65)))
-  in
-  let bitmap_scan =
-    let bm = Bmcast_core.Bitmap.create ~sectors:(1 lsl 20) in
-    ignore (Bmcast_core.Bitmap.fill_range bm ~lba:0 ~count:((1 lsl 20) - 1) : int);
-    Test.make ~name:"bitmap find_empty_run (worst case)"
-      (Staged.stage (fun () ->
-           ignore
-             (Bmcast_core.Bitmap.find_empty_run bm ~from:0 ~max:2048
-               : (int * int) option)))
-  in
-  let extent_set =
-    let m = Bmcast_storage.Extent_map.create () in
-    let prng = Bmcast_engine.Prng.create 9 in
-    Test.make ~name:"extent_map set"
-      (Staged.stage (fun () ->
-           Bmcast_storage.Extent_map.set m
-             ~lba:(Bmcast_engine.Prng.int prng 1_000_000)
-             ~count:64
-             (Bmcast_engine.Prng.int prng 4)))
-  in
-  let aoe_codec =
-    let hdr =
-      { Bmcast_proto.Aoe.major = 1;
-        minor = 2;
-        command = Bmcast_proto.Aoe.Ata_read;
-        tag = 12345;
-        frag = 3;
-        is_response = true;
-        error = false;
-        lba = 987654321;
-        count = 17 }
-    in
-    Test.make ~name:"aoe encode+decode"
-      (Staged.stage (fun () ->
-           ignore
-             (Bmcast_proto.Aoe.decode_header
-                (Bmcast_proto.Aoe.encode_header hdr)
-               : Bmcast_proto.Aoe.header)))
-  in
-  let prng_draw =
-    let prng = Bmcast_engine.Prng.create 3 in
-    Test.make ~name:"prng zipf"
-      (Staged.stage (fun () ->
-           ignore (Bmcast_engine.Prng.zipf prng ~n:10_000 ~theta:0.99 : int)))
-  in
-  [ heap_churn; bitmap_fill; bitmap_scan; extent_set; aoe_codec; prng_draw ]
-
-let run_micro () =
-  let open Bechamel in
-  Report.section "Micro-benchmarks (Bechamel, ns per run)";
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (t :: _) -> Report.row ~label:name ~units:"ns/run" t
-          | Some [] | None -> Report.note "%s: no estimate" name)
-        analyzed)
-    (micro_tests ())
 
 (* --- experiment registry --- *)
 
@@ -157,18 +69,16 @@ let experiments ~metrics_dir =
         let out =
           Option.value (out "engine") ~default:"BENCH_engine.json"
         in
-        Engine_bench.run ~out () );
-    ("micro", run_micro) ]
+        Engine_bench.run ~out () ) ]
 
 (* "all" runs the fig12/fig13 pair once. *)
 let all_keys =
   [ "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11";
-    "fig12"; "fig14"; "ablations"; "scaleup"; "micro" ]
+    "fig12"; "fig14"; "ablations"; "scaleup" ]
 
 (* "quick": the sub-minute figures, with fig4 on a smaller image. *)
 let quick_keys =
-  [ "fig4-quick"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12";
-    "micro" ]
+  [ "fig4-quick"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12" ]
 
 let run_named experiments name =
   match List.assoc_opt name experiments with
@@ -247,7 +157,7 @@ let () =
   in
   let doc =
     "Regenerate the BMcast paper's tables and figures (fig4-fig14, \
-     ablations, scaleup, fleet, micro, or the 'quick' subset; default: all)"
+     ablations, scaleup, fleet, or the 'quick' subset; default: all)"
   in
   let cmd =
     Cmd.v
