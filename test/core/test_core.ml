@@ -440,10 +440,10 @@ let test_deployment_progress_monotone () =
 
 (* The §3.3 consistency property: a guest write racing the background
    copy is never clobbered by a stale server fill. *)
-let test_guest_write_never_clobbered () =
+let test_guest_write_never_clobbered disk_kind () =
   let writes = ref [] in
   let rig, vmm =
-    deploy_and (fun vmm blk ->
+    deploy_and ~disk_kind (fun vmm blk ->
         ignore (Block_io.read blk ~lba:0 ~count:8 : Content.t array);
         (* Scatter writes across the image while the copy runs. *)
         let prng = Prng.create 99 in
@@ -476,11 +476,11 @@ let test_guest_write_never_clobbered () =
         (Content.equal (Disk.sector disk lba) expect))
     !final
 
-let prop_random_workload_consistency =
+let prop_random_workload_consistency disk_kind =
   QCheck.Test.make ~name:"random guest workloads end consistent" ~count:8
     QCheck.(int_bound 10_000)
     (fun seed ->
-      let rig = make_rig () in
+      let rig = make_rig ~disk_kind () in
       let module IntMap = Map.Make (Int) in
       let final = ref IntMap.empty in
       Sim.spawn_at rig.sim ~name:"scenario" Time.zero (fun () ->
@@ -742,11 +742,11 @@ let test_bitmap_load_rejects_garbage () =
        false
      with Invalid_argument _ -> true)
 
-let test_shutdown_and_resume_deployment () =
+let test_shutdown_and_resume_deployment disk_kind () =
   (* Interrupt at mid-deployment, "reboot", resume: the second VMM must
      not refetch what the first already copied, and pre-reboot guest
      writes must survive. *)
-  let rig = make_rig () in
+  let rig = make_rig ~disk_kind () in
   let fetched_before_reboot = ref 0 in
   let fetched_total = ref 0 in
   let guest_data = Content.data_sectors ~count:16 in
@@ -792,10 +792,10 @@ let test_shutdown_and_resume_deployment () =
   check_bool "rest is image" true
     (content_ok ~disk:rig.machine.Machine.disk ~lba:0 ~count:7_000)
 
-let test_protected_region_shields_bitmap () =
+let test_protected_region_shields_bitmap disk_kind () =
   (* Guest reads/writes aimed at the save region are converted to dummy
      reads: the saved bitmap survives a hostile guest. *)
-  let rig = make_rig () in
+  let rig = make_rig ~disk_kind () in
   Sim.spawn_at rig.sim ~name:"scenario" Time.zero (fun () ->
       let vmm =
         Vmm.boot rig.machine ~params:rig.params
@@ -1048,11 +1048,11 @@ let test_vmm_event_log () =
 
 (* --- whole-deployment determinism --- *)
 
-let test_deployment_deterministic () =
+let test_deployment_deterministic disk_kind () =
   (* Two identical runs de-virtualize at the same virtual nanosecond and
      fetch the same number of bytes. *)
   let run_once () =
-    let rig = make_rig () in
+    let rig = make_rig ~disk_kind () in
     let out = ref (0, 0) in
     Sim.spawn_at rig.sim ~name:"scenario" Time.zero (fun () ->
         let vmm =
@@ -1118,20 +1118,33 @@ let () =
       ( "deployment",
         [ tc "completes" `Slow test_full_deployment_completes;
           tc "progress monotone" `Slow test_deployment_progress_monotone;
-          tc "guest writes never clobbered" `Slow test_guest_write_never_clobbered;
+          tc "guest writes never clobbered" `Slow
+            (test_guest_write_never_clobbered Machine.Ahci_disk);
           tc "survives packet loss" `Slow test_deployment_survives_packet_loss;
-          QCheck_alcotest.to_alcotest prop_random_workload_consistency;
+          QCheck_alcotest.to_alcotest
+            (prop_random_workload_consistency Machine.Ahci_disk);
           QCheck_alcotest.to_alcotest prop_pooling_observationally_identical;
           tc "moderation under load" `Quick test_moderation_suspends_under_load ] );
       ( "ide",
         [ tc "copy on read" `Quick test_ide_copy_on_read;
-          tc "full deployment" `Slow test_ide_full_deployment ] );
+          tc "full deployment" `Slow test_ide_full_deployment;
+          tc "guest writes never clobbered" `Slow
+            (test_guest_write_never_clobbered Machine.Ide_disk);
+          QCheck_alcotest.to_alcotest
+            (prop_random_workload_consistency Machine.Ide_disk);
+          tc "shutdown and resume" `Slow
+            (test_shutdown_and_resume_deployment Machine.Ide_disk);
+          tc "protected region shields bitmap" `Slow
+            (test_protected_region_shields_bitmap Machine.Ide_disk);
+          tc "deployment deterministic" `Slow
+            (test_deployment_deterministic Machine.Ide_disk) ] );
       ( "persistence",
         [ tc "bitmap blob roundtrip" `Quick test_bitmap_blob_roundtrip;
           tc "load rejects garbage" `Quick test_bitmap_load_rejects_garbage;
-          tc "shutdown and resume" `Slow test_shutdown_and_resume_deployment;
+          tc "shutdown and resume" `Slow
+            (test_shutdown_and_resume_deployment Machine.Ahci_disk);
           tc "protected region shields bitmap" `Slow
-            test_protected_region_shields_bitmap ] );
+            (test_protected_region_shields_bitmap Machine.Ahci_disk) ] );
       ( "nic-mediator",
         [ tc "guest tx relayed" `Quick test_nicmed_guest_tx_relayed;
           tc "interleaves vmm and guest" `Quick test_nicmed_interleaves_vmm_and_guest;
@@ -1149,4 +1162,5 @@ let () =
           tc "vmxoff guest module silences cpuid" `Slow
             test_vmxoff_guest_module_silences_cpuid;
           tc "event log" `Quick test_vmm_event_log;
-          tc "deployment deterministic" `Slow test_deployment_deterministic ] ) ]
+          tc "deployment deterministic" `Slow
+            (test_deployment_deterministic Machine.Ahci_disk) ] ) ]
