@@ -1,24 +1,8 @@
-module Sim = Bmcast_engine.Sim
-module Time = Bmcast_engine.Time
-module Semaphore = Bmcast_engine.Semaphore
-module Signal = Bmcast_engine.Signal
 module Mmio = Bmcast_hw.Mmio
 module Cpu = Bmcast_hw.Cpu
-module Content = Bmcast_storage.Content
 module Dma = Bmcast_storage.Dma
 module Ahci = Bmcast_storage.Ahci
 module Machine = Bmcast_platform.Machine
-module Aoe_client = Bmcast_proto.Aoe_client
-module Trace = Bmcast_obs.Trace
-module Metrics = Bmcast_obs.Metrics
-
-type stats = {
-  mutable redirects : int;
-  mutable redirected_sectors : int;
-  mutable multiplexed_ops : int;
-  mutable queued_commands : int;
-  mutable passthrough_commands : int;
-}
 
 (* The slot the VMM uses for its own multiplexed commands; guest drivers
    allocate upward from 0, so the top slot stays free. *)
@@ -27,431 +11,131 @@ let vmm_slot = 31
 let vmm_slot_bit = 1 lsl vmm_slot
 
 type t = {
-  machine : Machine.t;
   ahci : Ahci.t;
   raw : Mmio.handler;
-  aoe : Aoe_client.t;
-  bitmap : Bitmap.t;
-  params : Params.t;
-  dummy_buf : Dma.buf;
+  dummy_prdt : Dma.prd list;  (* one sector of a VMM-owned buffer *)
   (* guest-view emulation *)
   mutable ghost_ci : int;  (* bits the guest believes are on the device *)
   mutable guest_ie : int;
-  mutable emulate_idle : bool;  (* a VMM command occupies the device *)
-  queued : int Queue.t;
-  vmm_lock : Semaphore.t;
-  device_ready : Signal.Latch.t;
-  (* interpretation state *)
-  mutable cached_lba : int;  (* a sector known to be in the disk cache *)
-  mutable last_guest_lba : int option;  (* background-copy locality hint *)
-  mutable protected_region : (int * int) option;
-      (* guest access here is converted to a dummy-sector read (the
-         saved-bitmap region, 3.3) *)
-  (* moderation input: timestamps of recent guest commands *)
-  io_times : Time.t Queue.t;
-  mutable inflight_redirects : int;
-  mutable devirtualized : bool;
-  (* §4.1: polling intervals are estimated from recent I/O latencies;
-     EWMA of VMM command service times. *)
-  mutable cmd_time_ewma : Time.span;
-  stats : stats;
-  redirect_latency : Bmcast_obs.Stats.Histogram.t;
 }
-
-let stats t = t.stats
-let is_devirtualized t = t.devirtualized
-
-(* Every trapped access costs one VM exit. *)
-let charge_exit t =
-  Cpu.record_exit t.machine.Machine.cpu Cpu.Mmio ~cost:t.params.Params.exit_cost;
-  Sim.sleep t.params.Params.exit_cost
-
-(* Guest I/O rate uses a short (250 ms) trailing window so moderation
-   reacts quickly when a storage burst begins. *)
-let rate_window = Time.ms 250
-
-let note_guest_io t =
-  Queue.add (Sim.now t.machine.Machine.sim) t.io_times;
-  let horizon = Time.diff (Sim.now t.machine.Machine.sim) rate_window in
-  let rec trim () =
-    match Queue.peek_opt t.io_times with
-    | Some ts when ts < horizon ->
-      ignore (Queue.pop t.io_times : Time.t);
-      trim ()
-    | Some _ | None -> ()
-  in
-  trim ()
-
-let guest_io_rate t =
-  let now = Sim.now t.machine.Machine.sim in
-  let horizon = Time.diff now rate_window in
-  let in_window =
-    Queue.fold (fun acc ts -> if ts >= horizon then acc +. 1.0 else acc) 0.0
-      t.io_times
-  in
-  in_window /. Time.to_float_s rate_window
 
 let current_clb t = t.raw.Mmio.read Ahci.Regs.px_clb
 
-(* The bitmap covers only the deployed image; guest I/O beyond it (fresh
-   data regions) needs no mediation. *)
-let empty_in_image t ~lba ~count =
-  let limit = t.params.Params.image_sectors in
-  if lba >= limit then []
-  else Bitmap.empty_subranges t.bitmap ~lba ~count:(min count (limit - lba))
+(* A guest command is known by its slot; the slot's command table in
+   guest memory holds the rest. *)
+let table t slot =
+  Ahci.cmd_table t.ahci
+    ~addr:(Ahci.slot_table_addr t.ahci ~clb:(current_clb t) ~slot)
 
-let overlaps_protected t ~lba ~count =
-  match t.protected_region with
-  | Some (pl, pc) -> pl < lba + count && lba < pl + pc
-  | None -> false
-
-let fill_in_image t ~lba ~count =
-  let limit = t.params.Params.image_sectors in
-  if lba < limit then
-    ignore (Bitmap.fill_range t.bitmap ~lba ~count:(min count (limit - lba)) : int)
-
-let forward_issue t slot =
+let forward t slot =
   t.ghost_ci <- t.ghost_ci land lnot (1 lsl slot);
   t.raw.Mmio.write Ahci.Regs.px_ci (1 lsl slot)
 
-(* --- multiplexed VMM commands (§3.2 I/O multiplexing) --- *)
+(* The command-manipulation trick: command tables are guest memory, so
+   the mediator rewrites one in place before the device fetches it. *)
+let guest t =
+  { Mediator.forward = forward t;
+    forward_dummy =
+      (fun slot ~lba ->
+        let ct = table t slot in
+        ct.Ahci.fis <- { Ahci.Fis.op = Ahci.Fis.Read; lba; count = 1 };
+        ct.Ahci.prdt <- t.dummy_prdt;
+        forward t slot);
+    withhold = (fun slot -> t.ghost_ci <- t.ghost_ci lor (1 lsl slot));
+    prds = (fun slot -> (table t slot).Ahci.prdt) }
 
-let rec drain_queue t =
-  match Queue.take_opt t.queued with
-  | None -> ()
-  | Some slot ->
-    dispatch t slot;
-    drain_queue t
-
-(* Hold the device for a sequence of VMM commands: wait until it is
-   idle AND the guest has acknowledged all its completions (otherwise
-   our own PxIS acknowledge would swallow a guest interrupt status bit
-   and hang its driver), present an idle device to the guest, mask the
-   port interrupt, run [f], then restore. Guest commands issued while
-   the device is held are queued and replayed afterwards — and because
-   they execute strictly after ours, anything the guest writes still
-   lands last (the consistency rule of Section 3.3). *)
-and with_device t f =
-  Semaphore.with_permit t.vmm_lock (fun () ->
-        (* The check-then-claim is atomic: no simulation time passes
-           between the last poll and setting [emulate_idle]. *)
-        while
-          t.raw.Mmio.read Ahci.Regs.px_ci land lnot vmm_slot_bit <> 0
-          || t.raw.Mmio.read Ahci.Regs.px_is <> 0
-        do
-          Sim.sleep t.params.Params.poll_interval
-        done;
-        t.emulate_idle <- true;
-        t.raw.Mmio.write Ahci.Regs.px_ie 0;
-      f ();
-      t.raw.Mmio.write Ahci.Regs.px_ie t.guest_ie;
-      t.emulate_idle <- false);
-  (* Replay guest commands intercepted during the VMM commands. *)
-  drain_queue t
-
-(* Issue one VMM command in slot 31 and poll for completion; the device
-   must be held (inside [with_device]). *)
-and issue_vmm t fis prdt =
-  let table = Ahci.alloc_cmd_table t.ahci fis prdt in
+(* VMM commands run in slot 31, completion polled on PxCI. *)
+let issue t op ~lba ~count buf =
+  let op = if op = Mediator.Write then Ahci.Fis.Write else Ahci.Fis.Read in
+  let table =
+    Ahci.alloc_cmd_table t.ahci
+      { Ahci.Fis.op; lba; count }
+      [ { Dma.buf_addr = buf.Dma.addr; sectors = count } ]
+  in
   Ahci.set_slot t.ahci ~clb:(current_clb t) ~slot:vmm_slot ~table_addr:table;
-  let issued_at = Sim.now t.machine.Machine.sim in
   t.raw.Mmio.write Ahci.Regs.px_ci vmm_slot_bit;
-  (* Adaptive polling: sleep most of the expected service time first,
-     then fall back to fine-grained polls. *)
-  if t.cmd_time_ewma > t.params.Params.poll_interval then
-    Sim.sleep (Time.mul (Time.div t.cmd_time_ewma 10) 8);
-  while t.raw.Mmio.read Ahci.Regs.px_ci land vmm_slot_bit <> 0 do
-    Sim.sleep t.params.Params.poll_interval
-  done;
-  let took = Time.diff (Sim.now t.machine.Machine.sim) issued_at in
-  t.cmd_time_ewma <-
-    (if t.cmd_time_ewma = 0 then took
-     else Time.div (Time.add (Time.mul t.cmd_time_ewma 7) took) 8);
-  (* Acknowledge our completion. *)
-  t.raw.Mmio.write Ahci.Regs.px_is 1;
-  t.stats.multiplexed_ops <- t.stats.multiplexed_ops + 1;
-  let tr = Sim.trace t.machine.Machine.sim in
-  if Trace.on tr ~cat:"mediator" then
-    Trace.complete tr ~cat:"mediator"
-      ~args:
-        [ ("lba", Trace.Int fis.Ahci.Fis.lba);
-          ("count", Trace.Int fis.Ahci.Fis.count) ]
-      "multiplexed-cmd" ~ts:issued_at
+  count
 
-and run_vmm_command t fis prdt = with_device t (fun () -> issue_vmm t fis prdt)
-
-and vmm_read t ~lba ~count =
-  let buf = Dma.alloc t.machine.Machine.dma ~sectors:count in
-  run_vmm_command t
-    { Ahci.Fis.op = Ahci.Fis.Read; lba; count }
-    [ { Ahci.buf_addr = buf.Dma.addr; sectors = count } ];
-  t.cached_lba <- lba;
-  let data = Array.copy buf.Dma.data in
-  Dma.free t.machine.Machine.dma buf;
-  data
-
-and vmm_write t ~lba ~count data =
-  let buf = Dma.alloc t.machine.Machine.dma ~sectors:count in
-  Dma.write buf ~off:0 data;
-  run_vmm_command t
-    { Ahci.Fis.op = Ahci.Fis.Write; lba; count }
-    [ { Ahci.buf_addr = buf.Dma.addr; sectors = count } ];
-  Dma.free t.machine.Machine.dma buf
-
-(* Write only sectors still empty, with the emptiness check made while
-   holding the device — atomic with respect to guest writes, which are
-   either already in the bitmap (checked here) or queued behind us (and
-   then overwrite us, which is the correct final state). Marks written
-   sectors filled. Returns the number of sectors written. *)
-and vmm_write_empty t ~lba ~count data =
-  let written = ref 0 in
-  with_device t (fun () ->
-      List.iter
-        (fun (sub_lba, sub_count) ->
-          let buf = Dma.alloc t.machine.Machine.dma ~sectors:sub_count in
-          Dma.write buf ~off:0 (Array.sub data (sub_lba - lba) sub_count);
-          issue_vmm t
-            { Ahci.Fis.op = Ahci.Fis.Write; lba = sub_lba; count = sub_count }
-            [ { Ahci.buf_addr = buf.Dma.addr; sectors = sub_count } ];
-          Dma.free t.machine.Machine.dma buf;
-          ignore (Bitmap.fill_range t.bitmap ~lba:sub_lba ~count:sub_count : int);
-          written := !written + sub_count)
-        (empty_in_image t ~lba ~count));
-  !written
-
-(* --- copy-on-read (§3.2 I/O redirection) --- *)
-
-and redirect t slot ct =
-  t.stats.redirects <- t.stats.redirects + 1;
-  t.inflight_redirects <- t.inflight_redirects + 1;
-  let started = Sim.now t.machine.Machine.sim in
-  let { Ahci.Fis.lba; count; _ } = ct.Ahci.fis in
-  let data = Array.make count Content.Zero in
-  (* Assemble the request: empty sub-ranges from the server (2.
-     Retrieve), filled sub-ranges from the local disk via multiplexed
-     reads. *)
-  let empty = empty_in_image t ~lba ~count in
-  List.iter
-    (fun (sub_lba, sub_count) ->
-      let fetched = Aoe_client.read t.aoe ~lba:sub_lba ~count:sub_count in
-      Array.blit fetched 0 data (sub_lba - lba) sub_count;
-      t.stats.redirected_sectors <- t.stats.redirected_sectors + sub_count;
-      (* Write back to the local disk for future use — asynchronously,
-         so the guest's read does not also pay the local write. The
-         write-back re-checks the bitmap and skips any sector the guest
-         wrote in the meantime (same consistency rule as the background
-         copy). *)
-      t.inflight_redirects <- t.inflight_redirects + 1;
-      Sim.spawn ~name:"ahci-writeback" (fun () ->
-          ignore
-            (vmm_write_empty t ~lba:sub_lba ~count:sub_count fetched : int);
-          t.inflight_redirects <- t.inflight_redirects - 1))
-    empty;
-  (* Filled parts (current local-disk contents). *)
-  List.iter
-    (fun (f_lba, f_count) ->
-      let local = vmm_read t ~lba:f_lba ~count:f_count in
-      Array.blit local 0 data (f_lba - lba) f_count)
-    (let filled = ref [] in
-     let pos = ref lba in
-     List.iter
-       (fun (e_lba, e_count) ->
-         if e_lba > !pos then filled := (!pos, e_lba - !pos) :: !filled;
-         pos := e_lba + e_count)
-       empty;
-     if !pos < lba + count then filled := (!pos, lba + count - !pos) :: !filled;
-     List.rev !filled);
-  (* 3. Copy: act as a virtual DMA controller into the guest buffers. *)
-  let off = ref 0 in
-  List.iter
-    (fun prd ->
-      if !off < count then begin
-        let n = min prd.Ahci.sectors (count - !off) in
-        let buf = Dma.find t.machine.Machine.dma ~addr:prd.Ahci.buf_addr in
-        Dma.write buf ~off:0 (Array.sub data !off n);
-        off := !off + n
-      end)
-    ct.Ahci.prdt;
-  (let tr = Sim.trace t.machine.Machine.sim in
-   if Trace.on tr ~cat:"mediator" then
-     Trace.instant tr ~cat:"mediator"
-       ~args:[ ("sectors", Trace.Int count) ]
-       "virtual-dma");
-  (* 4. Restart: rewrite the command into a single dummy-sector read
-     that hits the disk cache and let the device generate the
-     interrupt. Serialize with VMM commands so the dummy does not
-     complete inside a masked-interrupt window. *)
-  ct.Ahci.fis <- { Ahci.Fis.op = Ahci.Fis.Read; lba = t.cached_lba; count = 1 };
-  ct.Ahci.prdt <- [ { Ahci.buf_addr = t.dummy_buf.Dma.addr; sectors = 1 } ];
-  Semaphore.with_permit t.vmm_lock (fun () ->
-      while t.raw.Mmio.read Ahci.Regs.px_is <> 0 do
-        Sim.sleep t.params.Params.poll_interval
-      done;
-      t.inflight_redirects <- t.inflight_redirects - 1;
-      forward_issue t slot);
-  let sim = t.machine.Machine.sim in
-  Bmcast_obs.Stats.Histogram.add t.redirect_latency
-    (Time.to_float_ms (Time.diff (Sim.now sim) started));
-  let tr = Sim.trace sim in
-  if Trace.on tr ~cat:"mediator" then
-    Trace.complete tr ~cat:"mediator"
-      ~args:
-        [ ("m", Trace.Str t.machine.Machine.name);
-          ("stage", Trace.Str "copy_on_read");
-          ("lba", Trace.Int lba);
-          ("count", Trace.Int count) ]
-      "redirect" ~ts:started
-
-(* --- command dispatch (I/O interpretation) --- *)
-
-and dispatch t slot =
-  let ct = Ahci.cmd_table t.ahci ~addr:(Ahci.slot_table_addr t.ahci ~clb:(current_clb t) ~slot) in
-  let { Ahci.Fis.op; lba; count } = ct.Ahci.fis in
-  (* Locality hint for the background copy: follow guest READS (data
-     the OS will want nearby soon); following writes would make the
-     copy chase regions the guest is populating itself. *)
-  if op = Ahci.Fis.Read then t.last_guest_lba <- Some (lba + count);
-  if t.emulate_idle then begin
-    (* A VMM command occupies the device: intercept and queue. *)
-    t.ghost_ci <- t.ghost_ci lor (1 lsl slot);
-    Queue.add slot t.queued;
-    t.stats.queued_commands <- t.stats.queued_commands + 1;
-    let tr = Sim.trace t.machine.Machine.sim in
-    if Trace.on tr ~cat:"mediator" then
-      Trace.counter tr ~cat:"mediator" "ahci-queue-depth"
-        (float_of_int (Queue.length t.queued))
+let completed t () =
+  if t.raw.Mmio.read Ahci.Regs.px_ci land vmm_slot_bit <> 0 then false
+  else begin
+    (* Acknowledge our completion. *)
+    t.raw.Mmio.write Ahci.Regs.px_is 1;
+    true
   end
-  else if overlaps_protected t ~lba ~count then begin
-    (* 3.3: the guest must not touch the saved-bitmap region; convert
-       the access into a harmless dummy-sector read. *)
-    let ct2 = ct in
-    ct2.Ahci.fis <- { Ahci.Fis.op = Ahci.Fis.Read; lba = t.cached_lba; count = 1 };
-    ct2.Ahci.prdt <- [ { Ahci.buf_addr = t.dummy_buf.Dma.addr; sectors = 1 } ];
-    t.stats.passthrough_commands <- t.stats.passthrough_commands + 1;
-    forward_issue t slot
-  end
-  else
-    match op with
-    | Ahci.Fis.Write ->
-      (* Mark written blocks filled before the device sees the command,
-         so no background fill can clobber them afterwards. *)
-      fill_in_image t ~lba ~count;
-      t.stats.passthrough_commands <- t.stats.passthrough_commands + 1;
-      forward_issue t slot
-    | Ahci.Fis.Read ->
-      if empty_in_image t ~lba ~count = [] then begin
-        t.stats.passthrough_commands <- t.stats.passthrough_commands + 1;
-        t.cached_lba <- lba;
-        forward_issue t slot
-      end
-      else begin
-        t.ghost_ci <- t.ghost_ci lor (1 lsl slot);
-        Sim.spawn ~name:"ahci-redirect" (fun () -> redirect t slot ct)
-      end
 
-(* --- the interposer --- *)
+let device machine t =
+  { Mediator.name = "ahci";
+    max_sectors = max_int;
+    (* PxIS must be clear too: our own acknowledge would otherwise
+       swallow a guest interrupt status bit and hang its driver. *)
+    idle =
+      (fun () ->
+        t.raw.Mmio.read Ahci.Regs.px_ci land lnot vmm_slot_bit = 0
+        && t.raw.Mmio.read Ahci.Regs.px_is = 0);
+    restartable = (fun () -> t.raw.Mmio.read Ahci.Regs.px_is = 0);
+    settled = (fun () -> t.ghost_ci = 0);
+    mask_irq = (fun () -> t.raw.Mmio.write Ahci.Regs.px_ie 0);
+    unmask_irq = (fun () -> t.raw.Mmio.write Ahci.Regs.px_ie t.guest_ie);
+    issue = issue t;
+    completed = completed t;
+    remove =
+      (fun () ->
+        Mmio.remove_interposer machine.Machine.mmio ~base:Machine.ahci_base) }
 
-let on_write t ~next off v =
-  charge_exit t;
+(* --- the interposer (I/O interpretation) --- *)
+
+let submit t m g slot =
+  let { Ahci.Fis.op; lba; count } = (table t slot).Ahci.fis in
+  let op = match op with Ahci.Fis.Read -> Mediator.Read | Write -> Write in
+  Mediator.submit m g slot ~op ~lba ~count
+
+let on_write t m g ~next off v =
+  Mediator.trap m Cpu.Mmio;
   if off = Ahci.Regs.px_ci then begin
     let known = t.raw.Mmio.read Ahci.Regs.px_ci lor t.ghost_ci in
     for slot = 0 to 31 do
       let bit = 1 lsl slot in
-      if v land bit <> 0 && known land bit = 0 then begin
-        note_guest_io t;
-        dispatch t slot
-      end
+      if v land bit <> 0 && known land bit = 0 then submit t m g slot
     done
   end
   else if off = Ahci.Regs.px_ie then begin
     t.guest_ie <- v;
-    if not t.emulate_idle then next off v
+    if not (Mediator.held m) then next off v
   end
   else begin
-    (if off = Ahci.Regs.px_cmd && v land 1 <> 0 then
-       Signal.Latch.set t.device_ready);
+    (* The guest driver starting the port (PxCMD.ST) makes the command
+       list usable for VMM commands. *)
+    if off = Ahci.Regs.px_cmd && v land 1 <> 0 then Mediator.set_ready m;
     next off v
   end
 
-let on_read t ~next off =
-  charge_exit t;
+let on_read t m ~next off =
+  Mediator.trap m Cpu.Mmio;
+  let held = Mediator.held m in
   if off = Ahci.Regs.px_ci then
-    if t.emulate_idle then t.ghost_ci
-    else next off lor t.ghost_ci
+    if held then t.ghost_ci else next off lor t.ghost_ci
   else if off = Ahci.Regs.px_tfd then begin
-    if t.emulate_idle then if t.ghost_ci <> 0 then Ahci.tfd_bsy else 0
+    if held then if t.ghost_ci <> 0 then Ahci.tfd_bsy else 0
     else if t.ghost_ci <> 0 then next off lor Ahci.tfd_bsy
     else next off
   end
-  else if off = Ahci.Regs.px_is && t.emulate_idle then 0
+  else if off = Ahci.Regs.px_is && held then 0
   else if off = Ahci.Regs.px_ie then t.guest_ie
   else next off
 
-let attach machine ~aoe ~bitmap ~params =
-  let ahci =
-    match machine.Machine.controller with
-    | Machine.Ahci a -> a
-    | Machine.Ide _ -> invalid_arg "Ahci_mediator.attach: machine has IDE disk"
-  in
+let attach machine ahci ~aoe ~bitmap ~params =
+  let dummy = Dma.alloc machine.Machine.dma ~sectors:1 in
   let t =
-    { machine;
-      ahci;
+    { ahci;
       raw = Ahci.raw ahci;
-      aoe;
-      bitmap;
-      params;
-      dummy_buf = Dma.alloc machine.Machine.dma ~sectors:1;
+      dummy_prdt = [ { Dma.buf_addr = dummy.Dma.addr; sectors = 1 } ];
       ghost_ci = 0;
-      guest_ie = 0;
-      emulate_idle = false;
-      queued = Queue.create ();
-      vmm_lock = Semaphore.create 1;
-      device_ready = Signal.Latch.create ();
-      cached_lba = 0;
-      last_guest_lba = None;
-      protected_region = None;
-      io_times = Queue.create ();
-      inflight_redirects = 0;
-      devirtualized = false;
-      cmd_time_ewma = 0;
-      stats =
-        { redirects = 0;
-          redirected_sectors = 0;
-          multiplexed_ops = 0;
-          queued_commands = 0;
-          passthrough_commands = 0 };
-      redirect_latency =
-        Metrics.histogram
-          (Sim.metrics machine.Machine.sim)
-          ~labels:[ ("disk", "ahci") ]
-          "redirect_latency_ms" }
+      guest_ie = 0 }
   in
+  let m = Mediator.create machine ~aoe ~bitmap ~params (device machine t) in
+  let g = guest t in
   Mmio.interpose machine.Machine.mmio ~base:Machine.ahci_base
-    { Mmio.on_read = (fun ~next off -> on_read t ~next off);
-      on_write = (fun ~next off v -> on_write t ~next off v) };
-  t
-
-let wait_device_ready t = Signal.Latch.wait t.device_ready
-
-let set_protected_region t ~lba ~count = t.protected_region <- Some (lba, count)
-
-let guest_last_lba t = t.last_guest_lba
-
-let redirect_active t = t.inflight_redirects > 0
-
-let devirtualize t =
-  (* Quiesce: no redirect in flight, no queued guest command, and the
-     VMM not holding the device. *)
-  let quiet () =
-    t.inflight_redirects = 0 && Queue.is_empty t.queued && not t.emulate_idle
-    && t.ghost_ci = 0
-  in
-  while not (quiet ()) do
-    Sim.sleep t.params.Params.poll_interval
-  done;
-  Semaphore.with_permit t.vmm_lock (fun () ->
-      Mmio.remove_interposer t.machine.Machine.mmio ~base:Machine.ahci_base;
-      t.devirtualized <- true);
-  let tr = Sim.trace t.machine.Machine.sim in
-  if Trace.on tr ~cat:"mediator" then
-    Trace.instant tr ~cat:"mediator" "devirtualized"
+    { Mmio.on_read = (fun ~next off -> on_read t m ~next off);
+      on_write = (fun ~next off v -> on_write t m g ~next off v) };
+  m

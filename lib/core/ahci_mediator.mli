@@ -1,87 +1,24 @@
-(** AHCI device mediator (§3.2).
+(** AHCI register interpretation for the device mediator (§3.2).
 
-    Interposes on the machine's AHCI register region and performs the
-    paper's three mediation tasks:
+    Interposes on the machine's AHCI register region. It snoops PxCI
+    writes and walks the in-memory command list and command tables to
+    learn each guest command's operation, LBA, sector count and DMA
+    scatter list, then hands it to {!Mediator}. It detects controller
+    initialization (PxCMD.ST), which makes the device usable for VMM
+    commands.
 
-    {b I/O interpretation} — snoops PxCI writes and walks the in-memory
-    command list / command tables to learn each command's operation,
-    LBA, sector count and DMA scatter list; detects controller
-    initialization (PxCMD.ST) so the VMM knows when the device is usable.
-
-    {b I/O redirection} (copy-on-read) — a guest read touching empty
-    blocks is withheld from the device; the data is fetched from the
-    storage server over AoE, written back to the local disk, copied into
-    the guest's DMA buffers by the mediator acting as a virtual DMA
-    controller, and then the {e device itself} is made to raise the
-    completion interrupt by rewriting the command into a 1-sector dummy
-    read that hits the disk cache.
-
-    {b I/O multiplexing} — the VMM's own disk accesses
-    ([vmm_read]/[vmm_write]) wait for the device to go idle, mask the
-    port interrupt, run in command slot 31 with completion detected by
-    polling, and present an emulated idle status to the guest; guest
-    commands issued meanwhile are queued and replayed afterwards.
-
-    [devirtualize] removes the interposer: all register traffic then
-    flows directly to the hardware and the trap counter stops moving. *)
-
-type stats = {
-  mutable redirects : int;
-  mutable redirected_sectors : int;
-  mutable multiplexed_ops : int;
-  mutable queued_commands : int;
-  mutable passthrough_commands : int;
-}
-
-type t
+    The guest's view is emulated on PxCI, PxIS, PxIE and PxTFD: withheld
+    commands stay set in PxCI (and PxTFD shows BSY), and while the VMM
+    holds the device PxIS reads clear and the guest's PxIE writes are
+    deferred. VMM commands run in command slot 31, completion polled on
+    PxCI. A redirected command is restarted by rewriting its command
+    table in guest memory into a one-sector dummy read. *)
 
 val attach :
   Bmcast_platform.Machine.t ->
+  Bmcast_storage.Ahci.t ->
   aoe:Bmcast_proto.Aoe_client.t ->
   bitmap:Bitmap.t ->
   params:Params.t ->
-  t
-(** Install the interposer. The machine must have an AHCI controller. *)
-
-val wait_device_ready : t -> unit
-(** Block until the guest driver has started the port (process
-    context) — before that the VMM cannot multiplex commands because
-    there is no command list. *)
-
-val set_protected_region : t -> lba:int -> count:int -> unit
-(** Guest commands touching this range are converted into dummy-sector
-    reads — how the VMM shields its on-disk bitmap save (§3.3). *)
-
-val vmm_read : t -> lba:int -> count:int -> Bmcast_storage.Content.t array
-(** Multiplexed VMM read of the local disk (process context). *)
-
-val vmm_write : t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> unit
-
-val vmm_write_empty :
-  t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> int
-(** Write only sectors still unfilled, with the emptiness check made
-    {e while holding the device} — the atomic check-and-write of §3.3
-    that prevents a stale server block from clobbering a fresher guest
-    write. Marks written sectors in the bitmap; returns how many
-    sectors were written (process context). The [data] array is indexed
-    by [sector - lba]. *)
-
-val guest_io_rate : t -> float
-(** Guest commands per second over the trailing window (moderation
-    input). *)
-
-val guest_last_lba : t -> int option
-(** End LBA of the guest's most recent read (background-copy locality
-    hint). *)
-
-val redirect_active : t -> bool
-(** Whether any copy-on-read redirection is in flight — the guest is
-    actively faulting cold blocks (a stronger "busy" signal than the
-    I/O rate, which collapses when fetches are slow). *)
-
-val devirtualize : t -> unit
-(** Quiesce (waits for in-flight mediation to drain) and remove the
-    interposer (process context). *)
-
-val is_devirtualized : t -> bool
-val stats : t -> stats
+  Mediator.t
+(** Install the interposer on the machine's AHCI controller. *)

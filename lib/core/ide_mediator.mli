@@ -1,57 +1,26 @@
-(** IDE device mediator (§3.2; 1,472 LoC in the paper's prototype).
+(** IDE register interpretation for the device mediator (§3.2; 1,472
+    LoC in the paper's prototype).
 
-    The IDE twin of {!Ahci_mediator}. Because the task file carries the
-    command context one port-write at a time, I/O interpretation keeps a
-    {e shadow task file}: every guest write is recorded (and forwarded —
-    harmless, since the mediator can replay a snapshot later). The
-    decision point is the bus-master start bit, when the whole command
-    is known. Redirection and multiplexing follow the same protocol as
-    AHCI: withheld guest commands show an emulated BSY status; the VMM's
-    own commands run with nIEN set and completion detected by polling
-    the status register; the completion interrupt for redirected guest
-    reads comes from the device itself via the rewritten dummy-sector
-    command. *)
+    Because the task file carries the command context one port-write at
+    a time, I/O interpretation keeps a {e shadow task file}: every guest
+    write to it is recorded instead of forwarded, since the mediator
+    programs the device itself from a snapshot. The decision point is
+    the bus-master start bit, when the whole command is known; it is
+    then handed to {!Mediator}. FLUSH CACHE has no bus-master phase and
+    is handed over at the command-register write.
 
-type stats = {
-  mutable redirects : int;
-  mutable redirected_sectors : int;
-  mutable multiplexed_ops : int;
-  mutable queued_commands : int;
-  mutable passthrough_commands : int;
-}
-
-type t
+    Withheld guest commands show an emulated BSY status; the VMM's own
+    commands run with nIEN set, at most 256 sectors each (the task
+    file's 8-bit count), with completion detected by polling the
+    bus-master status; the completion interrupt for redirected guest
+    reads comes from the device itself via a dummy-sector command. *)
 
 val attach :
   Bmcast_platform.Machine.t ->
+  Bmcast_storage.Ide.t ->
   aoe:Bmcast_proto.Aoe_client.t ->
   bitmap:Bitmap.t ->
   params:Params.t ->
-  t
+  Mediator.t
 (** Install interposers on the task-file, bus-master and control port
-    ranges. The machine must have an IDE controller. *)
-
-val wait_device_ready : t -> unit
-(** No-op: IDE ports are usable without guest initialization (present
-    for interface symmetry with {!Ahci_mediator}). *)
-
-val set_protected_region : t -> lba:int -> count:int -> unit
-(** See {!Ahci_mediator.set_protected_region}. *)
-
-val vmm_read : t -> lba:int -> count:int -> Bmcast_storage.Content.t array
-val vmm_write : t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> unit
-
-val vmm_write_empty :
-  t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> int
-(** Atomic still-empty write; see {!Ahci_mediator.vmm_write_empty}. *)
-
-val guest_io_rate : t -> float
-val guest_last_lba : t -> int option
-
-val redirect_active : t -> bool
-(** Whether any copy-on-read redirection is in flight; see
-    {!Ahci_mediator.redirect_active}. *)
-
-val devirtualize : t -> unit
-val is_devirtualized : t -> bool
-val stats : t -> stats
+    ranges of the machine's IDE controller. *)

@@ -24,8 +24,6 @@ module Metrics = Bmcast_obs.Metrics
    possible", §3.1; BitVisor-based prototype is ~27 KLoC). *)
 let vmm_image_bytes = 2 * 1024 * 1024
 
-type mediator = A of Ahci_mediator.t | I of Ide_mediator.t
-
 type transport =
   | Dedicated of Vmm_netdrv.t  (* own NIC, polling driver *)
   | Shared of Nic_mediator.t  (* one NIC shared with the guest (6) *)
@@ -43,7 +41,7 @@ type residual = { r_prng : Prng.t; mutable r_next : Time.t }
 type t = {
   machine : Machine.t;
   params : Params.t;
-  mediator : mediator;
+  mediator : Mediator.t;
   aoe : Aoe_client.t;
   transport : transport;
   cpu_model : Cpu_model.t;
@@ -130,37 +128,7 @@ let progress t =
   float_of_int (Bitmap.filled_count t.bitmap)
   /. float_of_int t.params.Params.image_sectors
 
-let med_vmm_write_empty t = match t.mediator with
-  | A m -> Ahci_mediator.vmm_write_empty m
-  | I m -> Ide_mediator.vmm_write_empty m
-
-let med_vmm_read t = match t.mediator with
-  | A m -> Ahci_mediator.vmm_read m
-  | I m -> Ide_mediator.vmm_read m
-
-let med_vmm_write t = match t.mediator with
-  | A m -> Ahci_mediator.vmm_write m
-  | I m -> Ide_mediator.vmm_write m
-
-let guest_io_rate t = match t.mediator with
-  | A m -> Ahci_mediator.guest_io_rate m
-  | I m -> Ide_mediator.guest_io_rate m
-
-let med_redirect_active t = match t.mediator with
-  | A m -> Ahci_mediator.redirect_active m
-  | I m -> Ide_mediator.redirect_active m
-
-let med_guest_last_lba t = match t.mediator with
-  | A m -> Ahci_mediator.guest_last_lba m
-  | I m -> Ide_mediator.guest_last_lba m
-
-let med_wait_ready t = match t.mediator with
-  | A m -> Ahci_mediator.wait_device_ready m
-  | I m -> Ide_mediator.wait_device_ready m
-
-let med_devirtualize t = match t.mediator with
-  | A m -> Ahci_mediator.devirtualize m
-  | I m -> Ide_mediator.devirtualize m
+let guest_io_rate t = Mediator.guest_io_rate t.mediator
 
 (* §3.4: nested paging is turned off per-CPU; no TLB-shootdown IPIs are
    needed because the identity mapping never changed. *)
@@ -175,7 +143,7 @@ let devirtualize t =
     Cpu.record_exit t.machine.Machine.cpu Cpu.Control_reg
       ~cost:t.params.Params.exit_cost
   done;
-  med_devirtualize t;
+  Mediator.devirtualize t.mediator;
   (match t.transport with
   | Shared m -> Nic_mediator.devirtualize m
   | Dedicated d ->
@@ -244,13 +212,13 @@ let deployment t =
   log_event t "AoE target discovered";
   (* The VMM cannot multiplex commands until the guest driver has
      initialized the controller. *)
-  med_wait_ready t;
+  Mediator.wait_device_ready t.mediator;
   (* Resuming an interrupted deployment: restore the fill bitmap saved
      at shutdown. The read holds the device, so any early guest command
      queues behind it and still sees a correct bitmap. *)
   (if t.resume then begin
      let lba, count = save_region t in
-     let data = med_vmm_read t ~lba ~count in
+     let data = Mediator.vmm_read t.mediator ~lba ~count in
      match Bitmap.load_blob_sectors t.bitmap data with
      | () -> ()
      | exception Invalid_argument _ ->
@@ -267,17 +235,17 @@ let deployment t =
             let count = min count (t.params.Params.image_sectors - lba) in
             if not (Bitmap.range_filled t.bitmap ~lba ~count) then begin
               let data = Aoe_client.read t.aoe ~lba ~count in
-              ignore (med_vmm_write_empty t ~lba ~count data : int)
+              ignore
+                (Mediator.vmm_write_empty t.mediator ~lba ~count data : int)
             end)
           t.boot_prefetch);
   let ops =
     { Background_copy.fetch =
         (fun ~lba ~count -> Aoe_client.read t.aoe ~lba ~count);
-      write_empty =
-        (fun ~lba ~count data -> med_vmm_write_empty t ~lba ~count data);
+      write_empty = Mediator.vmm_write_empty t.mediator;
       guest_io_rate = (fun () -> guest_io_rate t);
-      redirect_active = (fun () -> med_redirect_active t);
-      guest_last_lba = (fun () -> med_guest_last_lba t) }
+      redirect_active = (fun () -> Mediator.redirect_active t.mediator);
+      guest_last_lba = (fun () -> Mediator.guest_last_lba t.mediator) }
   in
   stage_span t.machine.Machine.sim ~machine:t.machine "discover"
     ~ts:discover_started;
@@ -352,15 +320,12 @@ let boot machine ~params ~server_port ?route ?on_aoe_response ?mcast_group
   client_ref := Some aoe;
   let mediator =
     match machine.Machine.controller with
-    | Machine.Ahci _ -> A (Ahci_mediator.attach machine ~aoe ~bitmap ~params)
-    | Machine.Ide _ -> I (Ide_mediator.attach machine ~aoe ~bitmap ~params)
+    | Machine.Ahci a -> Ahci_mediator.attach machine a ~aoe ~bitmap ~params
+    | Machine.Ide i -> Ide_mediator.attach machine i ~aoe ~bitmap ~params
   in
   (* Shield the bitmap-save region from the guest (3.3). *)
-  let save_lba = params.Params.image_sectors in
-  let save_count = Bitmap.save_sectors ~sectors:params.Params.image_sectors in
-  (match mediator with
-  | A m -> Ahci_mediator.set_protected_region m ~lba:save_lba ~count:save_count
-  | I m -> Ide_mediator.set_protected_region m ~lba:save_lba ~count:save_count);
+  Mediator.set_protected_region mediator ~lba:params.Params.image_sectors
+    ~count:(Bitmap.save_sectors ~sectors:params.Params.image_sectors);
   let cpu_model =
     Cpu_model.create ~tlb_mode:Tlb.Nested_paging
       ~steal:params.Params.deploy_steal ~exit_overhead:0.0
@@ -439,7 +404,7 @@ let boot machine ~params ~server_port ?route ?on_aoe_response ?mcast_group
         let rec loop () =
           let lba, count, data = Mailbox.recv fifo in
           if (not t.shut_down) && not (Bitmap.is_complete t.bitmap) then begin
-            let wrote = med_vmm_write_empty t ~lba ~count data in
+            let wrote = Mediator.vmm_write_empty t.mediator ~lba ~count data in
             t.mcast_filled_bytes <- t.mcast_filled_bytes + (wrote * 512)
           end;
           Content.Scratch.release data;
@@ -502,8 +467,8 @@ let shutdown t =
   | Some bg -> Background_copy.stop bg
   | None -> ());
   let lba, count = save_region t in
-  med_vmm_write t ~lba ~count (Bitmap.to_blob_sectors t.bitmap);
-  med_devirtualize t;
+  Mediator.vmm_write t.mediator ~lba ~count (Bitmap.to_blob_sectors t.bitmap);
+  Mediator.devirtualize t.mediator;
   (match t.transport with
   | Dedicated d -> Vmm_netdrv.stop d
   | Shared m -> Nic_mediator.devirtualize m);
@@ -529,25 +494,11 @@ type totals = {
 
 let totals t =
   sync_residual t;
-  let redirects, redirected_sectors, multiplexed, queued =
-    match t.mediator with
-    | A m ->
-      let s = Ahci_mediator.stats m in
-      ( s.Ahci_mediator.redirects,
-        s.Ahci_mediator.redirected_sectors,
-        s.Ahci_mediator.multiplexed_ops,
-        s.Ahci_mediator.queued_commands )
-    | I m ->
-      let s = Ide_mediator.stats m in
-      ( s.Ide_mediator.redirects,
-        s.Ide_mediator.redirected_sectors,
-        s.Ide_mediator.multiplexed_ops,
-        s.Ide_mediator.queued_commands )
-  in
-  { redirects;
-    redirected_bytes = redirected_sectors * 512;
-    multiplexed_ops = multiplexed;
-    queued_commands = queued;
+  let s = Mediator.stats t.mediator in
+  { redirects = s.Mediator.redirects;
+    redirected_bytes = s.Mediator.redirected_sectors * 512;
+    multiplexed_ops = s.Mediator.multiplexed_ops;
+    queued_commands = s.Mediator.queued_commands;
     background_bytes =
       (match t.background with
       | Some bg -> Background_copy.bytes_written bg

@@ -10,7 +10,7 @@ module Fis = struct
   type t = { op : op; lba : int; count : int }
 end
 
-type prd = { buf_addr : int; sectors : int }
+type prd = Dma.prd = { buf_addr : int; sectors : int }
 
 type cmd_table = { mutable fis : Fis.t; mutable prdt : prd list }
 

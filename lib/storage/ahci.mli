@@ -19,7 +19,7 @@ module Fis : sig
   (** Command FIS essentials: operation, LBA, sector count. *)
 end
 
-type prd = { buf_addr : int; sectors : int }
+type prd = Dma.prd = { buf_addr : int; sectors : int }
 (** One physical-region-descriptor entry. *)
 
 type cmd_table = { mutable fis : Fis.t; mutable prdt : prd list }

@@ -1,5 +1,7 @@
 type buf = { addr : int; data : Content.t array }
 
+type prd = { buf_addr : int; sectors : int }
+
 type t = { mutable next_addr : int; bufs : (int, buf) Hashtbl.t }
 
 let create () = { next_addr = 0x1000_0000; bufs = Hashtbl.create 64 }

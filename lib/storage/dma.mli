@@ -12,6 +12,11 @@ type t
 type buf = { addr : int; data : Content.t array }
 (** [data] holds one element per sector. *)
 
+type prd = { buf_addr : int; sectors : int }
+(** One physical-region-descriptor (scatter-list) entry: [sectors]
+    sectors of the buffer at [buf_addr]. Both controller models use it,
+    so a mediator can walk either one's scatter list. *)
+
 val create : unit -> t
 
 val alloc : t -> sectors:int -> buf

@@ -30,7 +30,7 @@ end
 
 let ctrl_nien = 0x02
 
-type prd = { buf_addr : int; sectors : int }
+type prd = Dma.prd = { buf_addr : int; sectors : int }
 
 (* Per-command controller overhead; IDE has higher per-command cost than
    AHCI (PIO register programming, legacy protocol). *)

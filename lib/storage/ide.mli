@@ -46,7 +46,7 @@ end
 val ctrl_nien : int
 (** Bit: interrupts disabled. *)
 
-type prd = { buf_addr : int; sectors : int }
+type prd = Dma.prd = { buf_addr : int; sectors : int }
 
 type t
 
