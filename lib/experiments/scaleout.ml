@@ -94,12 +94,10 @@ let summarize h =
 
 let deploy_fleet ?(seed = 42) ?(image_mb = 256)
     ?(policy = Replica_set.Least_outstanding)
-    ?(sched = Scheduler.All_at_once) ?(limit_per_server = 4)
-    ?(ram_cache = true) ?(crashes = []) ?(restarts = [])
-    ?(distribution = `Unicast) ?uplink_mbps ?(mcast_passes = 16)
-    ?(mcast_gap = Time.ms 200) ?(peer_crashes = []) ?chaos
-    ?(digest_images = false) ?tweak ?trace ?metrics ?timeseries ?watchdog
-    ?profile ?boot_profile ?(slo_s = 120.0) ~machines ~replicas () =
+    ?(sched = Scheduler.All_at_once) ?(limit_per_server = 4) ?(crashes = [])
+    ?(restarts = []) ?(distribution = `Unicast) ?uplink_mbps
+    ?(mcast_passes = 16) ?(peer_crashes = []) ?chaos ?(digest_images = false)
+    ?trace ?metrics ?timeseries ?watchdog ?profile ?boot_profile ?(slo_s = 120.0) ~machines ~replicas () =
   if machines <= 0 then invalid_arg "Scaleout.deploy_fleet: machines";
   if replicas <= 0 then invalid_arg "Scaleout.deploy_fleet: replicas";
   (* The stage analytics need the boot-pipeline spans. With a
@@ -151,13 +149,10 @@ let deploy_fleet ?(seed = 42) ?(image_mb = 256)
       (fun i disk ->
         Vblade.create sim ~fabric
           ~name:(Printf.sprintf "vblade%d" i)
-          ~disk ~ram_cache ())
+          ~disk ~ram_cache:true ())
       server_disks
   in
-  let params =
-    let p = Params.default ~image_sectors in
-    match tweak with None -> p | Some f -> f p
-  in
+  let params = Params.default ~image_sectors in
   let h_ttfb = Metrics.histogram (Sim.metrics sim) "fleet_time_to_first_boot_s" in
   let h_ttdv = Metrics.histogram (Sim.metrics sim) "fleet_time_to_devirt_s" in
   let scheduler =
@@ -205,7 +200,7 @@ let deploy_fleet ?(seed = 42) ?(image_mb = 256)
       (Time.add params.Params.vmm_boot_time (Time.ms 500))
       (fun () ->
         Vblade.multicast (List.hd vblades) ~group ~lba:0 ~count:image_sectors
-          ~passes:mcast_passes ~gap:mcast_gap ())
+          ~passes:mcast_passes ~gap:(Time.ms 200) ())
   | None -> ());
   let agents : (int, Peer.agent) Hashtbl.t = Hashtbl.create 16 in
   List.iter
@@ -422,7 +417,7 @@ let write_metrics path results =
   close_out oc
 
 let run ?(machine_counts = [ 1; 4; 16 ]) ?(replica_counts = [ 1; 2; 4 ])
-    ?(image_mb = 256) ?policy ?sched ?metrics_out () =
+    ?(image_mb = 256) ?metrics_out () =
   Report.section
     (Printf.sprintf
        "Fleet scale-out: machines x storage replicas (%d MB images)" image_mb);
@@ -431,7 +426,7 @@ let run ?(machine_counts = [ 1; 4; 16 ]) ?(replica_counts = [ 1; 2; 4 ])
       (fun machines ->
         List.map
           (fun replicas ->
-            deploy_fleet ?policy ?sched ~image_mb ~machines ~replicas ())
+            deploy_fleet ~image_mb ~machines ~replicas ())
           replica_counts)
       machine_counts
   in

@@ -88,13 +88,11 @@ val deploy_fleet :
   ?policy:Replica_set.policy ->
   ?sched:Scheduler.wave_policy ->
   ?limit_per_server:int ->
-  ?ram_cache:bool ->
   ?crashes:(Bmcast_engine.Time.span * int) list ->
   ?restarts:(Bmcast_engine.Time.span * int) list ->
   ?distribution:distribution ->
   ?uplink_mbps:float ->
   ?mcast_passes:int ->
-  ?mcast_gap:Bmcast_engine.Time.span ->
   ?peer_crashes:(Bmcast_engine.Time.span * int) list ->
   ?chaos:
     (Bmcast_engine.Sim.t ->
@@ -102,7 +100,6 @@ val deploy_fleet :
     Bmcast_proto.Vblade.t list ->
     unit) ->
   ?digest_images:bool ->
-  ?tweak:(Bmcast_core.Params.t -> Bmcast_core.Params.t) ->
   ?trace:Bmcast_obs.Trace.t ->
   ?metrics:Bmcast_obs.Metrics.t ->
   ?timeseries:Bmcast_obs.Timeseries.t ->
@@ -121,8 +118,9 @@ val deploy_fleet :
     after fleet start (a crash with no restart leaves the tier degraded
     for good — deployments must converge on the survivors). Defaults:
     seed 42, 256 MB image, least-outstanding routing, all-at-once
-    admission, 4 deployments per server, RAM-cached servers,
-    [Os.default_profile] guests ([boot_profile] overrides).
+    admission, 4 deployments per server, [Os.default_profile] guests
+    ([boot_profile] overrides). Servers are always RAM-cached and every
+    VMM runs [Params.default].
 
     Without a caller [trace], a small boot-category-only tracer is
     attached so [analytics] is always populated; with one, the boot
@@ -147,7 +145,7 @@ val deploy_fleet :
     and routes reads through {!Bmcast_fleet.Peer.route} — and [`Mcast]
     starts the first replica's carousel
     ({!Bmcast_proto.Vblade.multicast}, [mcast_passes] passes spaced
-    [mcast_gap] apart, starting 500 ms after the VMMs boot) with every
+    200 ms apart, starting 500 ms after the VMMs boot) with every
     VMM subscribed via [Vmm.boot ?mcast_group]. [uplink_mbps]
     constrains every fabric port's serialization rate, in megabits per
     second — the knob that makes the distribution strategies diverge
@@ -169,14 +167,12 @@ val run :
   ?machine_counts:int list ->
   ?replica_counts:int list ->
   ?image_mb:int ->
-  ?policy:Replica_set.policy ->
-  ?sched:Scheduler.wave_policy ->
   ?metrics_out:string ->
   unit ->
   result list
-(** The bench sweep (default fleet sizes {1,4,16} × replicas {1,2,4}):
-    prints the report table and, with [metrics_out], writes
-    [BENCH_fleet.json]. *)
+(** The bench sweep (default fleet sizes {1,4,16} × replicas {1,2,4},
+    {!deploy_fleet}'s default routing and admission): prints the report
+    table and, with [metrics_out], writes [BENCH_fleet.json]. *)
 
 val run_crossover :
   ?client_counts:int list ->
