@@ -274,87 +274,61 @@ module Histogram = struct
     t.bucketed <- None
 end
 
-module Series = struct
+module Rate = struct
+  (* Events as parallel growable arrays: [times.(i)] carries weight
+     [weights.(i)] for [i < len]. *)
   type t = {
     mutable times : int array;
-    mutable values : float array;
+    mutable weights : float array;
     mutable len : int;
-  }
-
-  let create () = { times = Array.make 64 0; values = Array.make 64 0.0; len = 0 }
-
-  let add t time v =
-    if t.len = Array.length t.times then begin
-      let times = Array.make (2 * t.len) 0 in
-      let values = Array.make (2 * t.len) 0.0 in
-      Array.blit t.times 0 times 0 t.len;
-      Array.blit t.values 0 values 0 t.len;
-      t.times <- times;
-      t.values <- values
-    end;
-    t.times.(t.len) <- time;
-    t.values.(t.len) <- v;
-    t.len <- t.len + 1
-
-  let length t = t.len
-
-  let to_list t =
-    let rec build i acc =
-      if i < 0 then acc else build (i - 1) ((t.times.(i), t.values.(i)) :: acc)
-    in
-    build (t.len - 1) []
-
-  let bucket_mean t ~width =
-    if width <= 0 then invalid_arg "Series.bucket_mean: width must be positive";
-    let tbl = Hashtbl.create 64 in
-    for i = 0 to t.len - 1 do
-      let b = window_index t.times.(i) ~width in
-      let sum, n = Option.value (Hashtbl.find_opt tbl b) ~default:(0.0, 0) in
-      Hashtbl.replace tbl b (sum +. t.values.(i), n + 1)
-    done;
-    Hashtbl.fold (fun b (sum, n) acc -> (b * width, sum /. float_of_int n) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-end
-
-module Rate = struct
-  type t = {
-    events : Series.t;
     mutable total : float;
   }
 
-  let create () = { events = Series.create (); total = 0.0 }
+  let create () =
+    { times = Array.make 64 0; weights = Array.make 64 0.0; len = 0;
+      total = 0.0 }
 
   let add t time w =
-    Series.add t.events time w;
+    if t.len = Array.length t.times then begin
+      let times = Array.make (2 * t.len) 0 in
+      let weights = Array.make (2 * t.len) 0.0 in
+      Array.blit t.times 0 times 0 t.len;
+      Array.blit t.weights 0 weights 0 t.len;
+      t.times <- times;
+      t.weights <- weights
+    end;
+    t.times.(t.len) <- time;
+    t.weights.(t.len) <- w;
+    t.len <- t.len + 1;
     t.total <- t.total +. w
 
   let tick t time = add t time 1.0
   let total t = t.total
-  let count t = Series.length t.events
+  let count t = t.len
 
   let rate_between t t0 t1 =
     if t1 <= t0 then 0.0
     else begin
       let sum = ref 0.0 in
-      for i = 0 to t.events.Series.len - 1 do
-        let ts = t.events.Series.times.(i) in
-        if ts >= t0 && ts < t1 then sum := !sum +. t.events.Series.values.(i)
+      for i = 0 to t.len - 1 do
+        let ts = t.times.(i) in
+        if ts >= t0 && ts < t1 then sum := !sum +. t.weights.(i)
       done;
       !sum /. ns_to_s (t1 - t0)
     end
 
   let per_window t ~width =
     if width <= 0 then invalid_arg "Rate.per_window: width must be positive";
-    if t.events.Series.len = 0 then []
+    if t.len = 0 then []
     else begin
       let tbl = Hashtbl.create 64 in
       let first = ref max_int and last = ref min_int in
-      for i = 0 to t.events.Series.len - 1 do
-        let b = window_index t.events.Series.times.(i) ~width in
+      for i = 0 to t.len - 1 do
+        let b = window_index t.times.(i) ~width in
         if b < !first then first := b;
         if b > !last then last := b;
         let sum = Option.value (Hashtbl.find_opt tbl b) ~default:0.0 in
-        Hashtbl.replace tbl b (sum +. t.events.Series.values.(i))
+        Hashtbl.replace tbl b (sum +. t.weights.(i))
       done;
       let w_s = ns_to_s width in
       let rec build b acc =

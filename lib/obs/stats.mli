@@ -106,25 +106,6 @@ module Histogram : sig
   val clear : t -> unit
 end
 
-(** Append-only (time, value) series. *)
-module Series : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> int -> float -> unit
-  val length : t -> int
-  val to_list : t -> (int * float) list
-
-  val bucket_mean : t -> width:int -> (int * float) list
-  (** Average value per time bucket of the given width; buckets with no
-      samples are {e skipped} (no zero-filling — contrast with
-      {!Rate.per_window}). Bucket timestamps are bucket start times.
-      Buckets are half-open [\[k*width, (k+1)*width)]: a sample exactly
-      on a bucket edge opens bucket [k], never closes bucket [k-1].
-
-      @raise Invalid_argument if [width <= 0]. *)
-end
-
 (** Event-rate meter: record occurrences (optionally weighted) and read
     rates per window. *)
 module Rate : sig

@@ -865,17 +865,6 @@ let prop_histogram_percentile_monotone =
       in
       mono vals)
 
-let test_series_bucket_mean () =
-  let s = Stats.Series.create () in
-  Stats.Series.add s (Time.ms 1) 10.0;
-  Stats.Series.add s (Time.ms 2) 20.0;
-  Stats.Series.add s (Time.ms 12) 30.0;
-  let buckets = Stats.Series.bucket_mean s ~width:(Time.ms 10) in
-  Alcotest.(check (list (pair int (float 1e-9))))
-    "buckets"
-    [ (0, 15.0); (Time.ms 10, 30.0) ]
-    buckets
-
 let test_rate_windows () =
   let r = Stats.Rate.create () in
   Stats.Rate.add r (Time.ms 100) 50.0;
@@ -968,6 +957,5 @@ let () =
           tc "histogram clear" `Quick test_histogram_clear;
           tc "histogram stddev" `Quick test_histogram_stddev;
           QCheck_alcotest.to_alcotest prop_histogram_percentile_monotone;
-          tc "series bucket mean" `Quick test_series_bucket_mean;
           tc "rate windows" `Quick test_rate_windows;
           tc "mean welford" `Quick test_mean_welford ] ) ]

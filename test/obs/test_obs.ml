@@ -193,18 +193,6 @@ let prop_welford_matches_two_pass =
       Float.abs (Stats.Mean.mean m -. mean) <= 1e-9 *. (1.0 +. Float.abs mean)
       && Float.abs (Stats.Mean.stddev m -. exact) <= 1e-6 *. (1.0 +. exact))
 
-let test_bucket_mean_skips_gaps () =
-  let s = Stats.Series.create () in
-  Stats.Series.add s 100 1.0;
-  Stats.Series.add s 150 3.0;
-  Stats.Series.add s 2_500 10.0;
-  (* bucket [1000,2000) holds no samples and must be absent, not 0 *)
-  Alcotest.(check (list (pair int (float 1e-9))))
-    "buckets"
-    [ (0, 2.0); (2000, 10.0) ]
-    (Stats.Series.bucket_mean s ~width:1000);
-  expect_invalid_arg "width 0" (fun () -> Stats.Series.bucket_mean s ~width:0)
-
 let test_per_window_zero_fills_gaps () =
   let r = Stats.Rate.create () in
   Alcotest.(check (list (pair int (float 0.0))))
@@ -213,8 +201,7 @@ let test_per_window_zero_fills_gaps () =
   Stats.Rate.add r 500 4.0;
   Stats.Rate.add r 3_200 8.0;
   (* 1000 ns windows = 1e-6 s, so rate = weight * 1e6; the two empty
-     windows in between are present with rate 0 (contrast with
-     Series.bucket_mean). *)
+     windows in between are present with rate 0. *)
   Alcotest.(check (list (pair int (float 1e-3))))
     "windows"
     [ (0, 4e6); (1000, 0.0); (2000, 0.0); (3000, 8e6) ]
@@ -234,22 +221,14 @@ let test_window_boundaries () =
     "boundary sample opens the next window"
     [ (0, 1e6); (1000, 2e6) ]
     (Stats.Rate.per_window r ~width:1000);
-  let s = Stats.Series.create () in
-  Stats.Series.add s 1000 5.0;
-  Stats.Series.add s 1999 7.0;
-  Stats.Series.add s 2000 9.0;
-  Alcotest.(check (list (pair int (float 1e-9))))
-    "bucket_mean half-open edges"
-    [ (1000, 6.0); (2000, 9.0) ]
-    (Stats.Series.bucket_mean s ~width:1000);
-  let neg = Stats.Series.create () in
-  Stats.Series.add neg (-1) 4.0;
-  Stats.Series.add neg (-1000) 2.0;
-  Stats.Series.add neg 0 6.0;
-  Alcotest.(check (list (pair int (float 1e-9))))
+  let neg = Stats.Rate.create () in
+  Stats.Rate.add neg (-1) 4.0;
+  Stats.Rate.add neg (-1000) 2.0;
+  Stats.Rate.add neg 0 6.0;
+  Alcotest.(check (list (pair int (float 1e-3))))
     "negative timestamps use floor windows"
-    [ (-1000, 3.0); (0, 6.0) ]
-    (Stats.Series.bucket_mean neg ~width:1000);
+    [ (-1000, 6e6); (0, 6e6) ]
+    (Stats.Rate.per_window neg ~width:1000);
   let rneg = Stats.Rate.create () in
   Stats.Rate.add rneg (-1) 1.0;
   Alcotest.(check (list (pair int (float 1e-3))))
@@ -1073,8 +1052,6 @@ let () =
           qt prop_bucketed_percentile_error;
           qt prop_percentile_bounds;
           qt prop_welford_matches_two_pass;
-          Alcotest.test_case "bucket_mean skips gaps" `Quick
-            test_bucket_mean_skips_gaps;
           Alcotest.test_case "per_window zero-fills gaps" `Quick
             test_per_window_zero_fills_gaps;
           Alcotest.test_case "window boundaries are half-open" `Quick
