@@ -6,6 +6,7 @@
 module Time = Bmcast_engine.Time
 module Fig04 = Bmcast_experiments.Fig04_startup
 module Fig14 = Bmcast_experiments.Fig14_moderation
+module Scaleout = Bmcast_experiments.Scaleout
 
 let fig04 () =
   (* Small image so the regression stays fast; the ordering claims the
@@ -37,10 +38,36 @@ let fig14 () =
         (Fig14.measure ~intervals ~guest_op ()))
     [ `Read; `Write ]
 
+let fleet () =
+  (* One small fleet per distribution mode under constrained uplinks,
+     so replica fan-out, peer serving and the carousel each carry bytes.
+     Pins the virtual-time outcomes and byte accounting that the
+     distribution suite only checks for convergence and run-to-run
+     equality. *)
+  List.iter
+    (fun distribution ->
+      let r =
+        Scaleout.deploy_fleet ~seed:42 ~image_mb:4
+          ~boot_profile:Bmcast_guest.Os.cloud_minimal ~limit_per_server:8
+          ~uplink_mbps:100. ~mcast_passes:16 ~distribution ~machines:16
+          ~replicas:2 ()
+      in
+      Printf.printf
+        "%s ttfb p50 %.6f p90 %.6f  ttdv p50 %.6f p90 %.6f max %.6f\n"
+        r.Scaleout.distribution r.ttfb.p50 r.ttfb.p90 r.ttdv.p50 r.ttdv.p90
+        r.ttdv.max;
+      Printf.printf
+        "%s server_bytes %d peer_bytes %d mcast_tx_bytes %d \
+         mcast_fill_bytes %d failovers %d events %d\n"
+        r.distribution r.server_bytes r.p2p_served_bytes r.mcast_tx_bytes
+        r.mcast_fill_bytes r.failovers r.sim_events)
+    [ `Unicast; `P2p; `Mcast ]
+
 let () =
   match Sys.argv with
   | [| _; "fig04" |] -> fig04 ()
   | [| _; "fig14" |] -> fig14 ()
+  | [| _; "fleet" |] -> fleet ()
   | _ ->
-    prerr_endline "usage: golden (fig04|fig14)";
+    prerr_endline "usage: golden (fig04|fig14|fleet)";
     exit 2
