@@ -17,7 +17,7 @@ type result = {
    summation, ~2 ns/byte bare). *)
 let cluster_latencies ~nodes ~bytes ~overhead ~compute_factor =
   let sim = Sim.create () in
-  let ib = Ib.create sim () in
+  let ib = Ib.create sim in
   let eps =
     Array.init nodes (fun i ->
         let ep = Ib.attach ib ~name:(Printf.sprintf "node%d" i) in
@@ -68,9 +68,9 @@ let paper_bmcast_pct = function
   | "Allreduce" -> Some 122.0
   | _ -> None
 
-let run ?nodes ?bytes () =
+let run () =
   Report.section "Figure 6: MPI collective latency (10-node InfiniBand cluster)";
-  let results = measure ?nodes ?bytes () in
+  let results = measure () in
   Report.series_header [ "bare(us)"; "BMcast(us)"; "KVM(us)"; "BM %"; "KVM %" ];
   List.iter
     (fun r ->

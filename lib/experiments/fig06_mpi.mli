@@ -17,4 +17,4 @@ type result = {
 val measure : ?nodes:int -> ?bytes:int -> unit -> result list
 (** Defaults: 10 nodes, 8 KB messages. *)
 
-val run : ?nodes:int -> ?bytes:int -> unit -> unit
+val run : unit -> unit

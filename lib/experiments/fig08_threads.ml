@@ -22,7 +22,7 @@ let sweep_on make_stack counts =
       out :=
         List.map
           (fun threads ->
-            let r = Sysbench.run_threads rt ~threads () in
+            let r = Sysbench.run_threads rt ~threads in
             (threads, Time.to_float_ms r.Sysbench.elapsed))
           counts);
   !out
@@ -41,9 +41,9 @@ let measure ?(thread_counts = default_counts) () =
         kvm_ms = List.assoc threads kvm })
     bare
 
-let run ?thread_counts () =
+let run () =
   Report.section "Figure 8: SysBench threads (mutex acquire-yield-release)";
-  let points = measure ?thread_counts () in
+  let points = measure () in
   Report.series_header [ "bare(ms)"; "deploy(ms)"; "kvm(ms)"; "dep %"; "kvm %" ];
   List.iter
     (fun p ->

@@ -15,4 +15,4 @@ type point = {
 val measure : ?thread_counts:int list -> unit -> point list
 (** Default sweep: 1, 2, 4, 8, 12, 16, 20, 24. *)
 
-val run : ?thread_counts:int list -> unit -> unit
+val run : unit -> unit

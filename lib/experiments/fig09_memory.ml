@@ -18,7 +18,7 @@ let sweep_on make_stack blocks =
       out :=
         List.map
           (fun kb ->
-            let r = Sysbench.run_memory rt ~block_bytes:(kb * 1024) () in
+            let r = Sysbench.run_memory rt ~block_bytes:(kb * 1024) in
             (kb, r.Sysbench.throughput_mib_s))
           blocks);
   !out
@@ -35,9 +35,9 @@ let measure ?(block_kbs = default_blocks) () =
         kvm_mib_s = List.assoc kb kvm })
     bare
 
-let run ?block_kbs () =
+let run () =
   Report.section "Figure 9: SysBench memory (block-size sweep)";
-  let points = measure ?block_kbs () in
+  let points = measure () in
   (* The paper quotes overhead as extra execution time (bare/virt - 1),
      not throughput loss. *)
   let overhead bare v = ((bare /. v) -. 1.0) *. 100.0 in

@@ -15,4 +15,4 @@ type point = {
 val measure : ?block_kbs:int list -> unit -> point list
 (** Default sweep: 1, 2, 4, 8, 16 KB. *)
 
-val run : ?block_kbs:int list -> unit -> unit
+val run : unit -> unit

@@ -7,7 +7,7 @@ type result = { label : string; bw_gb_s : float; lat_us : float }
 
 let one ~label ~overhead ~bytes ~iterations =
   let sim = Sim.create () in
-  let ib = Ib.create sim () in
+  let ib = Ib.create sim in
   let a = Ib.attach ib ~name:"sender" and b = Ib.attach ib ~name:"receiver" in
   Ib.set_op_overhead a overhead;
   let bw = ref 0.0 and lat = ref 0.0 in
@@ -37,7 +37,8 @@ let one ~label ~overhead ~bytes ~iterations =
   Sim.run sim;
   { label; bw_gb_s = !bw; lat_us = !lat }
 
-let measure ?(bytes = 65536) ?(iterations = 1000) () =
+let measure ?(iterations = 1000) () =
+  let bytes = 65536 in
   [ one ~label:"Baremetal" ~overhead:0 ~bytes ~iterations;
     one ~label:"BMcast deploy" ~overhead:(Time.ns 80) ~bytes ~iterations;
     one ~label:"BMcast devirt" ~overhead:0 ~bytes ~iterations;

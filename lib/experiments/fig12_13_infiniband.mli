@@ -12,5 +12,7 @@ type result = {
   lat_us : float;
 }
 
-val measure : ?bytes:int -> ?iterations:int -> unit -> result list
+val measure : ?iterations:int -> unit -> result list
+(** 64 KB transfers. Default: 1000 iterations. *)
+
 val run : unit -> unit

@@ -68,9 +68,9 @@ let measure ?(image_gb = 8) ?(counts = [ 1; 2; 4; 8 ]) () =
       [ bmcast; copy ])
     counts
 
-let run ?image_gb ?counts () =
+let run () =
   Report.section "Scale-up: N instances provisioned simultaneously (8 GB images)";
-  let results = measure ?image_gb ?counts () in
+  let results = measure () in
   Report.series_header [ "mean ready(s)"; "max ready(s)" ];
   List.iter
     (fun r ->

@@ -20,4 +20,5 @@ val measure :
   ?image_gb:int -> ?counts:int list -> unit -> result list
 (** Defaults: 8-GB images, N in 1, 2, 4, 8. *)
 
-val run : ?image_gb:int -> ?counts:int list -> unit -> unit
+val run : unit -> unit
+(** The default {!measure} sweep as a report section. *)

@@ -30,7 +30,7 @@ let make_env ?(seed = 42) ?(image_gb = 32)
     ?trace ?metrics () =
   let sim = Sim.create ~seed ?trace ?metrics () in
   let fabric = Fabric.create sim () in
-  let ib = Ib.create sim () in
+  let ib = Ib.create sim in
   let image_sectors = image_gb * 1024 * 1024 * 2 in
   let server_disk name =
     let d = Disk.create sim disk_profile in
@@ -52,11 +52,9 @@ let make_env ?(seed = 42) ?(image_gb = 32)
   in
   { sim; fabric; ib; vblade; iscsi; nfs; image_sectors; disk_profile }
 
-let machine env ~name ?(disk_kind = Machine.Ahci_disk) ?(with_ib = true) () =
+let machine env ~name ?(disk_kind = Machine.Ahci_disk) () =
   Machine.create env.sim ~name ~disk_profile:env.disk_profile ~disk_kind
-    ~fabric:env.fabric
-    ?ib:(if with_ib then Some env.ib else None)
-    ()
+    ~fabric:env.fabric ~ib:env.ib ()
 
 let bare env m =
   Disk.fill_with_image m.Machine.disk;
@@ -71,12 +69,9 @@ let bare env m =
 
 let bmcast_params env = Params.default ~image_sectors:env.image_sectors
 
-let bmcast env m ?params ?(release_memory = false) () =
+let bmcast env m ?params () =
   let params = Option.value params ~default:(bmcast_params env) in
-  let vmm =
-    Vmm.boot m ~params ~server_port:(Vblade.port_id env.vblade)
-      ~release_memory ()
-  in
+  let vmm = Vmm.boot m ~params ~server_port:(Vblade.port_id env.vblade) () in
   let blk = Block_io.attach m in
   let runtime =
     { Runtime.label = "bmcast";
@@ -111,11 +106,11 @@ let netboot env m =
   let nb = Net_boot.create m ~server:client in
   (Net_boot.runtime nb, nb)
 
-let run env ?until scenario =
+let run env scenario =
   Sim.spawn_at env.sim ~name:"experiment" (Sim.now env.sim) (fun () ->
       scenario ();
       (* Background machinery (deployment threads, servers) would keep
          the event queue alive forever; the scenario's return defines
          the end of the experiment. *)
       Sim.request_stop env.sim);
-  Sim.run ?until env.sim
+  Sim.run env.sim

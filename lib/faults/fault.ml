@@ -83,17 +83,7 @@ type injector = {
   finished : Signal.Latch.t;
 }
 
-(* Outages a health watchdog is expected to notice — the actions that
-   take capacity away, as opposed to restoring it (restarts, link-up)
-   or merely degrading it probabilistically (loss models, latency). *)
-let is_outage = function
-  | Server_crash | Server_link_down | Link_down _ -> true
-  | Set_loss _ | Clear_loss | Server_restart | Server_link_up | Link_up _
-  | Server_nic_stall _ | Nic_stall _ | Disk_read_errors _
-  | Disk_latency_spike _ ->
-    false
-
-let inject ?watchdog rig (plan : plan) =
+let inject rig (plan : plan) =
   let inj = { rig; trace_rev = []; finished = Signal.Latch.create () } in
   let events =
     List.stable_sort (fun a b -> compare a.after b.after) plan
@@ -106,13 +96,6 @@ let inject ?watchdog rig (plan : plan) =
           Sim.wait_until (Time.add t0 ev.after);
           apply rig ev.action;
           Metrics.incr injected;
-          (* Arm the detection-latency clock at the instant the outage
-             lands: the next watchdog alert resolves it. *)
-          (match watchdog with
-          | Some w when is_outage ev.action ->
-            Bmcast_obs.Watchdog.expect w ~label:(describe ev.action)
-              ~now:(Sim.now rig.sim)
-          | Some _ | None -> ());
           let tr = Sim.trace rig.sim in
           if Obs_trace.on tr ~cat:"faults" then
             Obs_trace.complete tr ~cat:"faults" (describe ev.action)

@@ -52,10 +52,12 @@ type flight = {
   mutable last_sent : Time.t;
 }
 
+(* Probation after a retransmit implicates a replica. *)
+let cooldown = Time.ms 500
+
 type t = {
   sim : Sim.t;
   policy : policy;
-  cooldown : Time.span;
   replicas : replica array;
   prng : Prng.t;
   flights : (int, flight) Hashtbl.t;
@@ -63,7 +65,7 @@ type t = {
   m_failovers : float ref;
 }
 
-let create sim ?(policy = Least_outstanding) ?(cooldown = Time.ms 500) vblades =
+let create sim ?(policy = Least_outstanding) vblades =
   if vblades = [] then invalid_arg "Replica_set.create: empty replica list";
   let metrics = Sim.metrics sim in
   let replicas =
@@ -89,7 +91,6 @@ let create sim ?(policy = Least_outstanding) ?(cooldown = Time.ms 500) vblades =
   in
   { sim;
     policy;
-    cooldown;
     replicas;
     prng = Prng.split (Sim.rand sim);
     flights = Hashtbl.create 64;
@@ -192,7 +193,7 @@ let route t (hdr : Aoe.header) =
        Put it on probation and re-select; a crashed replica (epoch
        bumped, [is_up] false) drops out of the candidate set entirely. *)
     let old = f.ridx in
-    t.replicas.(old).suspect_until <- Time.add now t.cooldown;
+    t.replicas.(old).suspect_until <- Time.add now cooldown;
     let i = select t ~lba:hdr.Aoe.lba in
     if i <> old then begin
       t.failovers <- t.failovers + 1;

@@ -39,11 +39,10 @@ type t
 val create :
   Bmcast_engine.Sim.t ->
   ?policy:policy ->
-  ?cooldown:Bmcast_engine.Time.span ->
   Bmcast_proto.Vblade.t list ->
   t
-(** One replica set per client. Defaults: [Least_outstanding], 500 ms
-    probation cooldown after a retransmit implicates a replica. *)
+(** One replica set per client. A replica that a retransmit implicates
+    sits out 500 ms of probation. Default policy: [Least_outstanding]. *)
 
 val size : t -> int
 

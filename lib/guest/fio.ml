@@ -32,6 +32,5 @@ let seq_read runtime ?(total_bytes = 200 * 1024 * 1024)
     ?(block_bytes = 1024 * 1024) ?(start_lba = 0) () =
   run `Read runtime ~total_bytes ~block_bytes ~start_lba
 
-let seq_write runtime ?(total_bytes = 200 * 1024 * 1024)
-    ?(block_bytes = 1024 * 1024) ?(start_lba = 0) () =
-  run `Write runtime ~total_bytes ~block_bytes ~start_lba
+let seq_write runtime ?(total_bytes = 200 * 1024 * 1024) ?(start_lba = 0) () =
+  run `Write runtime ~total_bytes ~block_bytes:(1024 * 1024) ~start_lba

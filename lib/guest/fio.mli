@@ -16,9 +16,5 @@ val seq_read :
 (** Defaults: 200 MB, 1 MB blocks, LBA 0 (process context). *)
 
 val seq_write :
-  Bmcast_platform.Runtime.t ->
-  ?total_bytes:int ->
-  ?block_bytes:int ->
-  ?start_lba:int ->
-  unit ->
-  result
+  Bmcast_platform.Runtime.t -> ?total_bytes:int -> ?start_lba:int -> unit -> result
+(** Writes in 1 MB blocks. Defaults: 200 MB, LBA 0 (process context). *)

@@ -8,12 +8,14 @@ module Machine = Bmcast_platform.Machine
 
 type result = { latencies : Stats.Histogram.t; avg_ms : float }
 
-let run runtime ?(requests = 100) ?(block_bytes = 4096)
-    ?(span_bytes = 1024 * 1024) ?(think_time = Time.ms 100) () =
+(* 4 KB probes over a 1 MB working set. *)
+let sectors = 8
+let span_sectors = 2048
+let think_time = Time.ms 100
+
+let run runtime ?(requests = 100) () =
   let machine = runtime.Runtime.machine in
   let prng = Prng.split (Sim.rand machine.Machine.sim) in
-  let sectors = max 1 (block_bytes / 512) in
-  let span_sectors = span_bytes / 512 in
   let latencies = Stats.Histogram.create () in
   for _ = 1 to requests do
     let lba = Prng.int prng (span_sectors - sectors) in

@@ -11,10 +11,7 @@ type result = {
 val run :
   Bmcast_platform.Runtime.t ->
   ?requests:int ->
-  ?block_bytes:int ->
-  ?span_bytes:int ->
-  ?think_time:Bmcast_engine.Time.span ->
   unit ->
   result
-(** Defaults: 100 requests, 4 KB blocks, over a 1 MB working set (the paper's setup), 100 ms
-    between probes (process context). *)
+(** Probes 4 KB reads over a 1 MB working set (the paper's setup), one
+    every 100 ms (process context). Defaults: 100 requests. *)

@@ -15,10 +15,11 @@ let obj_sectors = 60
 let header_reads = 2
 let header_sectors = 8
 let header_span_sectors = 200 * 2048  (* headers live in a 200 MB region *)
+let src_lba = 8 * 1024 * 1024  (* sources start 4 GB into the disk *)
 let cpu_per_task = Time.ms 450
 let compile_mem_intensity = 0.03
 
-let run runtime ?(jobs = 12) ?(tasks = 384) ?(src_lba = 8 * 1024 * 1024) () =
+let run runtime ?(jobs = 12) ?(tasks = 384) () =
   if jobs <= 0 then invalid_arg "Kernbench.run: jobs";
   let machine = runtime.Runtime.machine in
   let prng =

@@ -17,8 +17,7 @@ val run :
   Bmcast_platform.Runtime.t ->
   ?jobs:int ->
   ?tasks:int ->
-  ?src_lba:int ->
   unit ->
   result
-(** Defaults: 12 jobs, 384 compile units, sources at 4 GB (process
-    context). *)
+(** Reads sources from 4 GB into the disk. Defaults: 12 jobs, 384
+    compile units (process context). *)

@@ -11,8 +11,10 @@ type threads_result = { elapsed : Time.span; lock_ops : int }
 (* Per-iteration CPU inside and outside the critical section. *)
 let hold_work = Time.us 2
 let gap_work = Time.us 3
+let iterations = 1000
+let mutexes = 8
 
-let run_threads runtime ~threads ?(iterations = 1000) ?(mutexes = 8) () =
+let run_threads runtime ~threads =
   if threads <= 0 then invalid_arg "Sysbench.run_threads: threads";
   let machine = runtime.Runtime.machine in
   let cores = Cpu.num_cores machine.Machine.cpu in
@@ -69,8 +71,10 @@ let memory_intensity ~block_bytes =
   let b = float_of_int block_bytes in
   Float.min 1.0 (0.4 +. (0.6 *. (b /. 16384.0)))
 
-let run_memory runtime ~block_bytes ?(total_bytes = 1024 * 1024) ?(rounds = 64)
-    () =
+let total_bytes = 1024 * 1024  (* per round *)
+let rounds = 64
+
+let run_memory runtime ~block_bytes =
   if block_bytes <= 0 then invalid_arg "Sysbench.run_memory: block_bytes";
   let blocks = max 1 (total_bytes / block_bytes) in
   let per_round =

@@ -14,25 +14,13 @@
 
 type threads_result = { elapsed : Bmcast_engine.Time.span; lock_ops : int }
 
-val run_threads :
-  Bmcast_platform.Runtime.t ->
-  threads:int ->
-  ?iterations:int ->
-  ?mutexes:int ->
-  unit ->
-  threads_result
-(** Defaults: 1000 iterations per thread, 8 mutexes (process context). *)
+val run_threads : Bmcast_platform.Runtime.t -> threads:int -> threads_result
+(** 1000 iterations per thread over 8 mutexes (process context). *)
 
 type memory_result = { throughput_mib_s : float }
 
-val run_memory :
-  Bmcast_platform.Runtime.t ->
-  block_bytes:int ->
-  ?total_bytes:int ->
-  ?rounds:int ->
-  unit ->
-  memory_result
-(** Defaults: 1 MiB per round, 64 rounds (process context). *)
+val run_memory : Bmcast_platform.Runtime.t -> block_bytes:int -> memory_result
+(** 64 rounds of 1 MiB each (process context). *)
 
 val memory_intensity : block_bytes:int -> float
 (** The modelled memory-boundedness of a block size (exposed for

@@ -1,18 +1,21 @@
 type mode = Native | Nested_paging | Nested_paging_host
 
-type params = { nested_tax : float; host_pollution_tax : float }
-
 (* Calibration: sysbench-memory is ~fully memory bound; paper reports 6%
    overhead for BMcast and 35% for KVM (nested paging + host cache
-   pollution) at 16 KB blocks. BMcast's 6% is split between this tax and
-   the deployment threads' CPU steal (Params.deploy_steal). *)
-let default = { nested_tax = 0.035; host_pollution_tax = 0.315 }
+   pollution) at 16 KB blocks. BMcast's 6% is split between the nested
+   tax and the deployment threads' CPU steal (Params.deploy_steal). *)
 
-let slowdown ?(params = default) mode ~mem_intensity =
+(* Slowdown at mem_intensity = 1 under plain nested paging. *)
+let nested_tax = 0.035
+
+(* Additional slowdown at mem_intensity = 1 from host cache pollution. *)
+let host_pollution_tax = 0.315
+
+let slowdown mode ~mem_intensity =
   if mem_intensity < 0.0 || mem_intensity > 1.0 then
     invalid_arg "Tlb.slowdown: mem_intensity must be in [0,1]";
   match mode with
   | Native -> 1.0
-  | Nested_paging -> 1.0 +. (mem_intensity *. params.nested_tax)
+  | Nested_paging -> 1.0 +. (mem_intensity *. nested_tax)
   | Nested_paging_host ->
-    1.0 +. (mem_intensity *. (params.nested_tax +. params.host_pollution_tax))
+    1.0 +. (mem_intensity *. (nested_tax +. host_pollution_tax))

@@ -16,16 +16,6 @@ type mode =
   | Nested_paging  (** thin VMM (BMcast during deployment) *)
   | Nested_paging_host  (** full VMM + host OS cache pollution (KVM) *)
 
-type params = {
-  nested_tax : float;
-      (** slowdown at mem_intensity = 1 under plain nested paging *)
-  host_pollution_tax : float;
-      (** additional slowdown at mem_intensity = 1 from host cache
-          pollution *)
-}
-
-val default : params
-
-val slowdown : ?params:params -> mode -> mem_intensity:float -> float
+val slowdown : mode -> mem_intensity:float -> float
 (** Multiplicative execution-time factor, >= 1.0.
     Raises [Invalid_argument] unless [0 <= mem_intensity <= 1]. *)

@@ -74,8 +74,8 @@ let histogram ?(labels = []) t name =
     ~make:(fun () -> Histogram (Stats.Histogram.create ()))
     ~extract:(function Histogram h -> Some h | _ -> None)
 
-let rate ?(labels = []) t name =
-  register t ~labels name
+let rate t name =
+  register t ~labels:[] name
     ~make:(fun () -> Rate (Stats.Rate.create ()))
     ~extract:(function Rate r -> Some r | _ -> None)
 

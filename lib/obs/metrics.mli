@@ -27,7 +27,7 @@ val gauge : ?labels:(string * string) list -> t -> string -> float ref
 
 val histogram : ?labels:(string * string) list -> t -> string -> Stats.Histogram.t
 
-val rate : ?labels:(string * string) list -> t -> string -> Stats.Rate.t
+val rate : t -> string -> Stats.Rate.t
 (** Time-weighted rate; feed with [Stats.Rate.add r now weight]. *)
 
 val derived : ?labels:(string * string) list -> t -> string -> (unit -> float) -> unit

@@ -20,6 +20,11 @@ type pending = {
   done_ : Signal.Latch.t;
 }
 
+(* Every client addresses shelf 0, slot 0. *)
+let major = 0
+let minor = 0
+let max_retries = 10
+
 type t = {
   sim : Sim.t;
   send : Aoe.header -> Content.t array -> unit;
@@ -27,9 +32,6 @@ type t = {
   mtu : int;
   timeout : Time.span;
   max_read_sectors : int;
-  max_retries : int;
-  major : int;
-  minor : int;
   mutable next_tag : int;
   pending : (int, pending) Hashtbl.t;
   mutable retransmits : int;
@@ -42,8 +44,7 @@ type t = {
 }
 
 let create sim ~send ?owner ?(mtu = 9000) ?(timeout = Time.ms 20)
-    ?(max_read_sectors = 1024) ?(max_retries = 10) ?(major = 0) ?(minor = 0)
-    () =
+    ?(max_read_sectors = 1024) () =
   if max_read_sectors <= 0 then
     invalid_arg "Aoe_client: max_read_sectors must be positive";
   { sim;
@@ -52,9 +53,6 @@ let create sim ~send ?owner ?(mtu = 9000) ?(timeout = Time.ms 20)
     mtu;
     timeout;
     max_read_sectors;
-    max_retries;
-    major;
-    minor;
     next_tag = 1;
     pending = Hashtbl.create 32;
     retransmits = 0;
@@ -190,7 +188,7 @@ let run_command t request write_data =
        back — failover, crash recovery — lets it complete instead of
        erroring into the guest's I/O path. Without a hook the historical
        behaviour stands: raise {!Timeout}. *)
-    if n > t.max_retries then begin
+    if n > max_retries then begin
       match t.escalation with
       | None -> give_up ()
       | Some f -> (
@@ -255,8 +253,8 @@ let run_command t request write_data =
 
 let query_capacity t =
   let request =
-    { Aoe.major = t.major;
-      minor = t.minor;
+    { Aoe.major;
+      minor;
       command = Aoe.Query_config;
       tag = fresh_tag t;
       frag = 0;
@@ -274,8 +272,8 @@ let read t ~lba ~count =
     if off < count then begin
       let n = min t.max_read_sectors (count - off) in
       let request =
-        { Aoe.major = t.major;
-          minor = t.minor;
+        { Aoe.major;
+          minor;
           command = Aoe.Ata_read;
           tag = fresh_tag t;
           frag = 0;
@@ -301,8 +299,8 @@ let write t ~lba ~count data =
     if off < count then begin
       let n = min per_frame (count - off) in
       let request =
-        { Aoe.major = t.major;
-          minor = t.minor;
+        { Aoe.major;
+          minor;
           command = Aoe.Ata_write;
           tag = fresh_tag t;
           frag = 0;

@@ -18,13 +18,11 @@ val create :
   ?mtu:int ->
   ?timeout:Bmcast_engine.Time.span ->
   ?max_read_sectors:int ->
-  ?max_retries:int ->
-  ?major:int ->
-  ?minor:int ->
   unit ->
   t
-(** Defaults: MTU 9000, timeout 20 ms, 1024-sector read commands,
-    10 retries, target 0.0. [owner] is the owning machine's name; when
+(** A client of AoE target 0.0 whose commands give up after 10
+    retries. Defaults: MTU 9000, timeout 20 ms, 1024-sector read
+    commands. [owner] is the owning machine's name; when
     set, command spans carry ["m"]/["stage"] args so
     [Bmcast_obs.Analytics] folds them into its per-operation table. *)
 

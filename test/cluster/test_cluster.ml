@@ -10,7 +10,7 @@ let check_int = Alcotest.(check int)
 
 let with_comm ?compute ?(nodes = 10) ?(overhead = 0) f =
   let sim = Sim.create () in
-  let ib = Ib.create sim () in
+  let ib = Ib.create sim in
   let eps =
     Array.init nodes (fun i ->
         let ep = Ib.attach ib ~name:(Printf.sprintf "n%d" i) in
@@ -88,7 +88,7 @@ let test_compute_hook_called () =
 
 let test_create_requires_two_ranks () =
   let sim = Sim.create () in
-  let ib = Ib.create sim () in
+  let ib = Ib.create sim in
   let ep = Ib.attach ib ~name:"solo" in
   check_bool "raises" true
     (try

@@ -131,8 +131,8 @@ let test_ioping_latency_positive () =
 let test_sysbench_threads_monotone () =
   let t1, t24 =
     on_bare (fun _ rt ->
-        ( Sysbench.run_threads rt ~threads:1 (),
-          Sysbench.run_threads rt ~threads:24 () ))
+        ( Sysbench.run_threads rt ~threads:1,
+          Sysbench.run_threads rt ~threads:24 ))
   in
   check_bool "oversubscription costs time" true
     (t24.Sysbench.elapsed > t1.Sysbench.elapsed);
@@ -141,8 +141,8 @@ let test_sysbench_threads_monotone () =
 let test_sysbench_memory_block_scaling () =
   let small, large =
     on_bare (fun _ rt ->
-        ( Sysbench.run_memory rt ~block_bytes:1024 (),
-          Sysbench.run_memory rt ~block_bytes:16384 () ))
+        ( Sysbench.run_memory rt ~block_bytes:1024,
+          Sysbench.run_memory rt ~block_bytes:16384 ))
   in
   (* Bigger blocks amortize per-block overhead: higher throughput. *)
   check_bool "16K faster than 1K" true

@@ -271,7 +271,7 @@ let test_nic_rx_irq () =
 
 let test_ib_rdma_latency () =
   let sim = Sim.create () in
-  let ib = Ib.create sim () in
+  let ib = Ib.create sim in
   let a = Ib.attach ib ~name:"a" and b = Ib.attach ib ~name:"b" in
   let elapsed = ref 0 in
   Sim.spawn_at sim Time.zero (fun () ->
@@ -285,7 +285,7 @@ let test_ib_rdma_latency () =
 
 let test_ib_overhead_adds_to_latency () =
   let sim = Sim.create () in
-  let ib = Ib.create sim () in
+  let ib = Ib.create sim in
   let a = Ib.attach ib ~name:"a" and b = Ib.attach ib ~name:"b" in
   let base = ref 0 and virt = ref 0 in
   Sim.spawn_at sim Time.zero (fun () ->
@@ -304,7 +304,7 @@ let test_ib_bandwidth_hides_overhead () =
      virtualized and bare throughput match (Fig 12's explanation). *)
   let run_with overhead =
     let sim = Sim.create () in
-    let ib = Ib.create sim () in
+    let ib = Ib.create sim in
     let a = Ib.attach ib ~name:"a" and b = Ib.attach ib ~name:"b" in
     Ib.set_op_overhead a overhead;
     let finish = ref 0 in
@@ -326,7 +326,7 @@ let test_ib_bandwidth_hides_overhead () =
 
 let test_ib_msg_rendezvous () =
   let sim = Sim.create () in
-  let ib = Ib.create sim () in
+  let ib = Ib.create sim in
   let a = Ib.attach ib ~name:"a" and b = Ib.attach ib ~name:"b" in
   let got = ref 0 in
   Sim.spawn_at sim Time.zero (fun () -> got := Ib.recv_msg b ~src:a);
@@ -336,7 +336,7 @@ let test_ib_msg_rendezvous () =
 
 let test_ib_bytes_counted () =
   let sim = Sim.create () in
-  let ib = Ib.create sim () in
+  let ib = Ib.create sim in
   let a = Ib.attach ib ~name:"a" and b = Ib.attach ib ~name:"b" in
   Sim.spawn_at sim Time.zero (fun () -> Ib.rdma a ~dst:b ~bytes:1234);
   Sim.run sim;
