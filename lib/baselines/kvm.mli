@@ -29,14 +29,7 @@ val boot_host : t -> unit
 val guest_boot_extra : Bmcast_engine.Time.span
 (** Fixed guest pre-boot cost (QEMU init, SeaBIOS, bootloader). *)
 
-val host_boot_time : Bmcast_engine.Time.span
-
 val cpu_model : t -> Bmcast_platform.Cpu_model.t
-
-val block_read : t -> lba:int -> count:int -> Bmcast_storage.Content.t array
-(** Virtio-blk read (process context). *)
-
-val block_write : t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> unit
 
 val runtime : t -> Bmcast_platform.Runtime.t
 (** Assemble the guest-visible runtime. *)

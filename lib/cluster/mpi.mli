@@ -17,8 +17,6 @@ val create : ?compute:(bytes:int -> unit) -> Bmcast_net.Ib.endpoint array -> com
     receive in Reduce/Allreduce (stack-dependent: virtualization taxes
     apply to it). *)
 
-val size : comm -> int
-
 type collective =
   | Barrier
   | Bcast

@@ -287,7 +287,5 @@ let is_paused t = t.paused
 let fetch_failures t = t.fetch_failures
 
 let wait_complete t = Signal.Latch.wait t.complete
-let is_complete t = Signal.Latch.is_set t.complete
 let bytes_written t = t.bytes_written
 let chunks_suspended t = t.suspended
-let completed_at t = t.completed_at

@@ -63,12 +63,6 @@ val fetch_failures : t -> int
 val wait_complete : t -> unit
 (** Block until every image sector is filled (process context). *)
 
-val is_complete : t -> bool
-val progress : t -> float
-(** Filled fraction of the image, in [0,1]. *)
-
 val bytes_written : t -> int
 val chunks_suspended : t -> int
 (** Times the writer found the guest busy and backed off. *)
-
-val completed_at : t -> Bmcast_engine.Time.t option

@@ -37,7 +37,6 @@ type t = {
   mutable vmm_tx_frames : int;
 }
 
-let port_id t = Fabric.port_id (Nic.port t.nic)
 let guest_tx_frames t = t.guest_tx_frames
 let guest_rx_relayed t = t.guest_rx_relayed
 let guest_rx_dropped t = t.guest_rx_dropped

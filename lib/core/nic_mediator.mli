@@ -37,9 +37,6 @@ val set_vmm_rx : t -> (Bmcast_net.Packet.t -> bool) -> unit
 val vmm_send : t -> dst:int -> size_bytes:int -> Bmcast_net.Packet.payload -> unit
 (** Transmit a VMM frame, interleaved into the shadow TX ring. *)
 
-val port_id : t -> int
-(** Fabric port of the shared NIC. *)
-
 val devirtualize : t -> unit
 (** Wait for the guest to go quiet, point the device back at the
     guest's own rings and remove the interposer (process context). The

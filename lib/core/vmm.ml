@@ -111,13 +111,6 @@ let stage_enter sim stage =
 
 let events t = List.rev t.events
 
-let netdrv t =
-  match t.transport with
-  | Dedicated d -> d
-  | Shared _ -> invalid_arg "Vmm.netdrv: shared-NIC mode has no own driver"
-
-let nic_mediator t =
-  match t.transport with Shared m -> Some m | Dedicated _ -> None
 let bitmap t = t.bitmap
 let aoe_client t = t.aoe
 let wait_deployed t = Signal.Latch.wait t.deployed

@@ -112,13 +112,6 @@ val totals : t -> totals
 val bitmap : t -> Bitmap.t
 val aoe_client : t -> Bmcast_proto.Aoe_client.t
 
-val netdrv : t -> Vmm_netdrv.t
-(** The VMM's own NIC driver (raises [Invalid_argument] in [`Shared]
-    mode, which uses {!Nic_mediator} instead). *)
-
-val nic_mediator : t -> Nic_mediator.t option
-(** The shadow-ring NIC mediator when running in [`Shared] mode. *)
-
 val events : t -> (Bmcast_engine.Time.t * string) list
 (** Timestamped lifecycle log (boot, deployment, de-virtualization,
     shutdown), oldest first. *)

@@ -15,7 +15,6 @@ type t = {
   mutable tx_idx : int;
   mutable rx_idx : int;  (* next descriptor to consume *)
   mutable rdt : int;
-  mutable frames_received : int;
   mutable running : bool;
 }
 
@@ -36,7 +35,6 @@ let rec poll_loop t backoff =
       (match Nic.rx_desc t.nic ~ring:t.rx_ring ~idx:t.rx_idx with
       | Some frame ->
         Nic.clear_rx_desc t.nic ~ring:t.rx_ring ~idx:t.rx_idx;
-        t.frames_received <- t.frames_received + 1;
         t.on_frame frame;
         (* [on_frame] consumes synchronously (reassembly copies what it
            needs); hand the record back to the fabric pool. *)
@@ -74,7 +72,6 @@ let attach machine ?(which = `Mgmt) ~poll_interval ~on_frame () =
       tx_idx = 0;
       rx_idx = 0;
       rdt = Nic.ring_size - 1;
-      frames_received = 0;
       running = true }
   in
   (* Program our rings (resets head/tail), polling mode: interrupts
@@ -92,6 +89,4 @@ let send t ~dst ~size_bytes payload =
   t.tx_idx <- (t.tx_idx + 1) mod Nic.ring_size;
   wreg t Nic.Regs.tdt t.tx_idx
 
-let port_id t = Fabric.port_id (Nic.port t.nic)
-let frames_received t = t.frames_received
 let stop t = t.running <- false

@@ -20,6 +20,4 @@ val attach :
     [`Prod] models the shared-NIC configuration of §6). *)
 
 val send : t -> dst:int -> size_bytes:int -> Bmcast_net.Packet.payload -> unit
-val port_id : t -> int
-val frames_received : t -> int
 val stop : t -> unit

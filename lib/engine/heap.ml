@@ -72,7 +72,3 @@ let peek h =
   end
 let size h = h.len
 let is_empty h = h.len = 0
-
-let clear h =
-  Array.fill h.arr 0 h.len None;
-  h.len <- 0

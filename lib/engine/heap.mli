@@ -21,4 +21,3 @@ val peek : 'a t -> (Time.t * 'a) option
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool
-val clear : 'a t -> unit

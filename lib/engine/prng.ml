@@ -38,8 +38,6 @@ let split t =
   let seed = bits64 t in
   of_state (mix64 seed)
 
-let copy t = { hi = t.hi; lo = t.lo }
-
 (* Advance + mix + truncate in one body (see module comment). *)
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";

@@ -13,8 +13,6 @@ val create : int -> t
 val split : t -> t
 (** Derive an independent generator; advances the parent by one draw. *)
 
-val copy : t -> t
-
 val bits64 : t -> int64
 (** Next raw 64 random bits. *)
 

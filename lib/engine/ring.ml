@@ -35,7 +35,3 @@ let pop t =
   let v = t.arr.(t.head land (Array.length t.arr - 1)) in
   t.head <- t.head + 1;
   v
-
-let peek t =
-  if t.head = t.tail then raise Empty;
-  t.arr.(t.head land (Array.length t.arr - 1))

@@ -17,6 +17,3 @@ exception Empty
 val pop : 'a t -> 'a
 (** Remove and return the head. Raises {!Empty} when empty. Popped
     slots retain their reference until overwritten by later pushes. *)
-
-val peek : 'a t -> 'a
-(** Head without removing it. Raises {!Empty} when empty. *)

@@ -19,9 +19,6 @@ let diff a b = a - b
 let mul d k = d * k
 let div d k = d / k
 
-let min = Stdlib.min
-let max = Stdlib.max
-
 let pp fmt t =
   let a = abs t in
   if a < 1_000 then Format.fprintf fmt "%dns" t

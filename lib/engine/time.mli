@@ -33,10 +33,4 @@ val diff : t -> t -> span
 val mul : span -> int -> span
 val div : span -> int -> span
 
-val min : t -> t -> t
-val max : t -> t -> t
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable rendering with an adaptive unit (ns/us/ms/s). *)
-
 val to_string : t -> string

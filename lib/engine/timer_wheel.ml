@@ -412,23 +412,3 @@ let pop t =
     t.live <- t.live - 1;
     Some (tm, v)
   end
-
-let clear t =
-  Array.fill t.heads 0 (Array.length t.heads) (-1);
-  Array.fill t.tails 0 (Array.length t.tails) (-1);
-  Array.fill t.bits 0 (Array.length t.bits) 0;
-  Bytes.fill t.canceled 0 t.cap '\000';
-  Array.fill t.payloads 0 t.cap t.dummy;
-  for i = 0 to t.cap - 1 do
-    t.gens.(i) <- t.gens.(i) + 1;
-    t.nexts.(i) <- (if i = t.cap - 1 then -1 else i + 1)
-  done;
-  t.free <- 0;
-  Heap.clear t.far;
-  t.cur <- 0;
-  t.live <- 0;
-  t.next_seq <- 0;
-  t.min_valid <- false;
-  t.n_cascaded <- 0;
-  t.n_far <- 0;
-  t.n_promoted <- 0

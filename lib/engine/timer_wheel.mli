@@ -66,7 +66,6 @@ val size : 'a t -> int
 (** Live (scheduled, not yet fired or cancelled) events. *)
 
 val is_empty : 'a t -> bool
-val clear : 'a t -> unit
 
 (** {1 Introspection} *)
 

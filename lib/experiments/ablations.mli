@@ -14,13 +14,5 @@
     - {b OS transparency} (§4.3): a Windows-profile guest deploys
       through the same unmodified stack as the Ubuntu one. *)
 
-val run_vblade_pool : unit -> unit
-val run_jumbo_frames : unit -> unit
-val run_retransmission : unit -> unit
-val run_boot_prefetch : unit -> unit
-val run_shared_nic : unit -> unit
-val run_ssd : unit -> unit
-val run_os_transparency : unit -> unit
-
 val run : unit -> unit
-(** All of the above. *)
+(** Run every ablation above, in order. *)

@@ -9,5 +9,4 @@
 
 type result = { label : string; read_mb_s : float; write_mb_s : float }
 
-val measure : unit -> result list
 val run : unit -> unit

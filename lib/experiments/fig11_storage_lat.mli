@@ -7,5 +7,4 @@
 
 type result = { label : string; avg_ms : float; p99_ms : float }
 
-val measure : unit -> result list
 val run : unit -> unit

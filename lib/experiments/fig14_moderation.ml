@@ -6,6 +6,7 @@ module Vmm = Bmcast_core.Vmm
 
 type point = { interval_label : string; guest_mb_s : float; vmm_mb_s : float }
 
+(* The paper's full sweep: 1 s down to 1 us, then full speed. *)
 let default_intervals =
   [ ("1s", Time.s 1);
     ("100ms", Time.ms 100);

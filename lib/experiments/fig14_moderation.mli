@@ -16,15 +16,13 @@ type point = {
   vmm_mb_s : float;
 }
 
-val default_intervals : (string * Bmcast_engine.Time.span) list
-(** The paper's full sweep: 1 s down to 1 us, then full speed. *)
-
 val measure :
   ?intervals:(string * Bmcast_engine.Time.span) list ->
   guest_op:[ `Read | `Write ] ->
   unit ->
   point list
-(** One point per interval (defaults to {!default_intervals}; the golden
-    regression test runs a 3-point subset). *)
+(** One point per interval. The default is the paper's full sweep, 1 s
+    down to 1 us, then full speed; the golden regression test runs a
+    3-point subset. *)
 
 val run : unit -> unit

@@ -23,10 +23,3 @@ let series_row label values =
   Printf.printf "  %-22s" label;
   List.iter (fun v -> Printf.printf " %12.2f" v) values;
   Printf.printf "\n%!"
-
-let ratio_row ~label ?paper ~baseline value =
-  let pct = if baseline = 0.0 then 0.0 else value /. baseline *. 100.0 in
-  match paper with
-  | Some p ->
-    Printf.printf "  %-38s %9.1f%% of baseline (paper: %6.1f%%)\n%!" label pct p
-  | None -> Printf.printf "  %-38s %9.1f%% of baseline\n%!" label pct

@@ -14,7 +14,3 @@ val row : label:string -> ?paper:float -> units:string -> float -> unit
 
 val series_header : string list -> unit
 val series_row : string -> float list -> unit
-
-val ratio_row : label:string -> ?paper:float -> baseline:float -> float -> unit
-(** Print a value as a percentage of [baseline] (and the paper's
-    percentage if given). *)

@@ -38,7 +38,6 @@ type job_stat = {
 }
 
 let queue_delay_s s = Time.to_float_s (Time.diff s.started s.submitted)
-let service_s s = Time.to_float_s (Time.diff s.finished s.started)
 
 type t = {
   sim : Sim.t;

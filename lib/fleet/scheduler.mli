@@ -30,7 +30,6 @@ type job_stat = {
 }
 
 val queue_delay_s : job_stat -> float
-val service_s : job_stat -> float
 
 type t
 

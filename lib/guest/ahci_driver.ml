@@ -14,7 +14,6 @@ type t = {
   clb : int;
   lock : Semaphore.t;  (* one command in flight (queue depth 1) *)
   mutable completion : Signal.Latch.t option;
-  mutable ios : int;
 }
 
 let reg t off = Mmio.read t.machine.Machine.mmio (Machine.ahci_base + off)
@@ -42,7 +41,7 @@ let attach machine =
   in
   let clb = Ahci.alloc_cmd_list ahci in
   let t =
-    { machine; ahci; clb; lock = Semaphore.create 1; completion = None; ios = 0 }
+    { machine; ahci; clb; lock = Semaphore.create 1; completion = None }
   in
   Irq.register machine.Machine.irq ~vec:Machine.disk_irq_vec (isr t);
   wreg t Ahci.Regs.px_clb clb;
@@ -60,8 +59,7 @@ let submit t fis buf =
       let latch = Signal.Latch.create () in
       t.completion <- Some latch;
       wreg t Ahci.Regs.px_ci 1;
-      Signal.Latch.wait latch;
-      t.ios <- t.ios + 1)
+      Signal.Latch.wait latch)
 
 let read t ~lba ~count =
   let buf = Dma.alloc t.machine.Machine.dma ~sectors:count in
@@ -77,5 +75,3 @@ let write t ~lba ~count data =
   Dma.write buf ~off:0 data;
   submit t { Ahci.Fis.op = Ahci.Fis.Write; lba; count } buf;
   Dma.free t.machine.Machine.dma buf
-
-let ios_completed t = t.ios

@@ -19,5 +19,3 @@ val read : t -> lba:int -> count:int -> Bmcast_storage.Content.t array
 (** Blocking read (process context). One command per request. *)
 
 val write : t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> unit
-
-val ios_completed : t -> int

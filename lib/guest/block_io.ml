@@ -29,7 +29,3 @@ let write t ~lba ~count data =
   match t with
   | A d -> Ahci_driver.write d ~lba ~count data
   | I d -> Ide_driver.write d ~lba ~count data
-
-let ios_completed = function
-  | A d -> Ahci_driver.ios_completed d
-  | I d -> Ide_driver.ios_completed d

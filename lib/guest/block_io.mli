@@ -11,4 +11,3 @@ val attach : Bmcast_platform.Machine.t -> t
 
 val read : t -> lba:int -> count:int -> Bmcast_storage.Content.t array
 val write : t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> unit
-val ios_completed : t -> int

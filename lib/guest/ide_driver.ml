@@ -13,7 +13,6 @@ type t = {
   ide : Ide.t;
   lock : Semaphore.t;
   mutable completion : Signal.Latch.t option;
-  mutable ios : int;
 }
 
 let inp t port = Pio.inp t.machine.Machine.pio port
@@ -39,7 +38,7 @@ let attach machine =
     | Machine.Ahci _ -> invalid_arg "Ide_driver.attach: machine has AHCI disk"
   in
   let t =
-    { machine; ide; lock = Semaphore.create 1; completion = None; ios = 0 }
+    { machine; ide; lock = Semaphore.create 1; completion = None }
   in
   Irq.register machine.Machine.irq ~vec:Machine.disk_irq_vec (isr t);
   t
@@ -63,8 +62,7 @@ let one_command t op ~lba ~count buf =
     (match op with `Read -> Ide.cmd_read_dma | `Write -> Ide.cmd_write_dma);
   outp t (Machine.ide_bm_base + Ide.Bm.command)
     (0x01 lor match op with `Read -> 0x08 | `Write -> 0x00);
-  Signal.Latch.wait latch;
-  t.ios <- t.ios + 1
+  Signal.Latch.wait latch
 
 (* The task file carries an 8-bit sector count (0 means 256). *)
 let max_per_command = 256
@@ -102,5 +100,3 @@ let write t ~lba ~count data =
         end
       in
       go 0)
-
-let ios_completed t = t.ios

@@ -15,5 +15,3 @@ val read : t -> lba:int -> count:int -> Bmcast_storage.Content.t array
     are split into multiple commands (the task-file limit). *)
 
 val write : t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> unit
-
-val ios_completed : t -> int

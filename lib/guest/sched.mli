@@ -12,11 +12,6 @@ type t
 
 val create : Bmcast_platform.Runtime.t -> t
 
-val quantum : Bmcast_engine.Time.span
-(** Scheduling quantum (500 us). *)
-
-val context_switch_cost : Bmcast_engine.Time.span
-
 val run :
   t -> tid:int -> work:Bmcast_engine.Time.span -> mem_intensity:float -> unit
 (** Consume [work] of CPU time on thread [tid]'s core, yielding the core

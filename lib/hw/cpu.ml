@@ -12,7 +12,6 @@ type exit_reason =
   | Other
 
 type core = {
-  index : int;
   sim : Sim.t;
   mutable unavailable_until : Time.t;
   available_pulse : Signal.Pulse.t;
@@ -30,9 +29,8 @@ type t = {
 
 let create sim ~cores =
   if cores <= 0 then invalid_arg "Cpu.create: cores must be positive";
-  let mk index =
-    { index;
-      sim;
+  let mk _ =
+    { sim;
       unavailable_until = Time.zero;
       available_pulse = Signal.Pulse.create ();
       stall_time = 0;
@@ -50,8 +48,6 @@ let core t i =
   if i < 0 || i >= Array.length t.cores_arr then
     invalid_arg (Printf.sprintf "Cpu.core: no core %d" i);
   t.cores_arr.(i)
-
-let core_index c = c.index
 
 let is_available (c : core) = Sim.now c.sim >= c.unavailable_until
 
@@ -121,12 +117,3 @@ let exit_time t = t.exit_time
 let reset_exit_counters t =
   Hashtbl.reset t.exit_counts;
   t.exit_time <- 0
-
-let pp_exit_reason fmt = function
-  | Pio -> Format.pp_print_string fmt "pio"
-  | Mmio -> Format.pp_print_string fmt "mmio"
-  | Cpuid -> Format.pp_print_string fmt "cpuid"
-  | Preempt_timer -> Format.pp_print_string fmt "preempt-timer"
-  | Control_reg -> Format.pp_print_string fmt "control-reg"
-  | Init_sipi -> Format.pp_print_string fmt "init-sipi"
-  | Other -> Format.pp_print_string fmt "other"

@@ -24,7 +24,6 @@ type exit_reason =
 val create : Bmcast_engine.Sim.t -> cores:int -> t
 val num_cores : t -> int
 val core : t -> int -> core
-val core_index : core -> int
 
 (** {2 Running work} *)
 
@@ -43,8 +42,6 @@ val set_unavailable_until : core -> Bmcast_engine.Time.t -> unit
 (** Mark the core stolen by the host until the given absolute time.
     Raises [Invalid_argument] unless {!enable_interference} was called. *)
 
-val is_available : core -> bool
-
 val stall_time : core -> Bmcast_engine.Time.span
 (** Total time [run] calls on this core spent stalled. *)
 
@@ -55,5 +52,3 @@ val exits : t -> exit_reason -> int
 val total_exits : t -> int
 val exit_time : t -> Bmcast_engine.Time.span
 val reset_exit_counters : t -> unit
-
-val pp_exit_reason : Format.formatter -> exit_reason -> unit

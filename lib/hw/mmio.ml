@@ -100,11 +100,4 @@ let write t addr v =
     t.trapped <- t.trapped + 1;
     ix.on_write ~next:r.device.write off v
 
-let read64 t addr = Int64.of_int (read t addr)
-
-let write64 t addr v =
-  if Int64.of_int (Int64.to_int v) <> v then
-    invalid_arg "Mmio.write64: value exceeds register representation";
-  write t addr (Int64.to_int v)
-
 let trapped_accesses t = t.trapped

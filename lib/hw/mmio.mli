@@ -10,8 +10,7 @@
     Register values travel as untagged [int]: every register this
     platform models is at most 32 bits wide, so an OCaml 63-bit [int]
     holds it without the boxed-[Int64] allocation that used to dominate
-    the polling hot path. [read64]/[write64] keep an [int64] view at the
-    device-facing boundary for callers that want real register width. *)
+    the polling hot path. *)
 
 type t
 
@@ -56,13 +55,6 @@ val read : t -> int -> int
 (** [read addr]: absolute address. Raises [Invalid_argument] if unmapped. *)
 
 val write : t -> int -> int -> unit
-
-val read64 : t -> int -> int64
-(** [int64] shim over {!read} for device-width callers. *)
-
-val write64 : t -> int -> int64 -> unit
-(** [int64] shim over {!write}. Raises [Invalid_argument] if the value
-    does not fit the 63-bit register representation. *)
 
 val trapped_accesses : t -> int
 (** Number of accesses that went through any interposer (i.e. would have

@@ -43,10 +43,3 @@ let unhide t bdf =
   match find_slot t bdf with
   | Some s -> s.hidden <- false
   | None -> invalid_arg "Pci.unhide: no such device"
-
-let is_hidden t bdf =
-  match find_slot t bdf with
-  | Some s -> s.hidden
-  | None -> invalid_arg "Pci.is_hidden: no such device"
-
-let pp_bdf fmt b = Format.fprintf fmt "%02x:%02x.%d" b.bus b.dev b.fn

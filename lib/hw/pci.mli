@@ -31,6 +31,3 @@ val hide : t -> bdf -> unit
 (** Make the device invisible to [scan]/[find]. *)
 
 val unhide : t -> bdf -> unit
-val is_hidden : t -> bdf -> bool
-
-val pp_bdf : Format.formatter -> bdf -> unit

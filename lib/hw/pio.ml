@@ -25,8 +25,6 @@ let map t ~base ~count handler =
     t.ranges;
   t.ranges <- { base; count; device = handler; interposer = None } :: t.ranges
 
-let unmap t ~base = t.ranges <- List.filter (fun r -> r.base <> base) t.ranges
-
 let find_range t port =
   match
     List.find_opt (fun r -> port >= r.base && port < r.base + r.count) t.ranges

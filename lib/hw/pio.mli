@@ -15,7 +15,6 @@ type interposer = {
 
 val create : unit -> t
 val map : t -> base:int -> count:int -> handler -> unit
-val unmap : t -> base:int -> unit
 val interpose : t -> base:int -> interposer -> unit
 val remove_interposer : t -> base:int -> unit
 

@@ -18,7 +18,6 @@ type tx_desc = { dst : int; size_bytes : int; payload : Packet.payload }
 
 type t = {
   sim : Sim.t;
-  base : int;
   irq : Irq.t;
   irq_vec : int;
   mutable fabric_port : Fabric.port option;
@@ -41,8 +40,6 @@ type t = {
 }
 
 let port t = Option.get t.fabric_port
-let base t = t.base
-let irq_vec t = t.irq_vec
 let rx_dropped t = t.rx_dropped
 let default_tx_ring t = t.default_tx
 let default_rx_ring t = t.default_rx
@@ -162,7 +159,6 @@ let raw t = { Mmio.read = reg_read t; write = reg_write t }
 let create sim ~mmio ~base ~fabric ~name ~irq ~irq_vec =
   let t =
     { sim;
-      base;
       irq;
       irq_vec;
       fabric_port = None;

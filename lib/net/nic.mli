@@ -54,8 +54,6 @@ val port : t -> Fabric.port
 (** [fabric t] is the fabric this NIC is attached to (for frame release
     by ring consumers). *)
 val fabric : t -> Fabric.t
-val base : t -> int
-val irq_vec : t -> int
 val raw : t -> Bmcast_hw.Mmio.handler
 
 (** {2 Descriptor rings (guest memory)} *)

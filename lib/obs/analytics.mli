@@ -22,15 +22,9 @@ val stage_order : string list
 (** Canonical pipeline order, ["queue"] through ["devirt"]; unknown
     stages sort after these, alphabetically. *)
 
-val create : ?slo_s:float -> unit -> t
-(** [slo_s] is the provisioning-time target in seconds (default
-    [120.0]). *)
-
-val add_event : t -> Trace.event -> unit
-val feed : t -> Trace.t -> unit
-
 val of_trace : ?slo_s:float -> Trace.t -> t
-(** [create] + [feed]. *)
+(** Fold every event of the trace. [slo_s] is the provisioning-time
+    target in seconds (default [120.0]). *)
 
 val machine_count : t -> int
 

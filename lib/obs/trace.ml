@@ -33,7 +33,7 @@ type t = {
   mutable dropped : int;
   cats : (string, unit) Hashtbl.t option;  (* [None] = every category *)
   mutable now : unit -> int;
-  mutable sample_every : int;  (* record 1 in N sampled hot-path events *)
+  sample_every : int;  (* record 1 in N sampled hot-path events *)
   mutable sample_tick : int;
 }
 
@@ -75,15 +75,6 @@ let cat_enabled t cat =
   match t.cats with None -> true | Some tbl -> Hashtbl.mem tbl cat
 
 let on t ~cat = t.enabled && cat_enabled t cat
-
-let sample_every t = t.sample_every
-
-let set_sample_every t n =
-  if n < 1 then invalid_arg "Trace.set_sample_every: must be >= 1";
-  if t.enabled then begin
-    t.sample_every <- n;
-    t.sample_tick <- 0
-  end
 
 (* Counter-based (hence deterministic) downsampling for hot-path call
    sites: every [sample_every]-th sampled event of an enabled category

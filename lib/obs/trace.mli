@@ -66,12 +66,6 @@ val sample : t -> cat:string -> bool
     {!on}. Each [true] consumes a tick, so call it once per event and
     reuse the result. *)
 
-val sample_every : t -> int
-
-val set_sample_every : t -> int -> unit
-(** Adjust the sampling factor (resets the phase). No-op on {!null};
-    raises [Invalid_argument] when [n < 1]. *)
-
 val span : t -> cat:string -> ?args:(unit -> args) -> string -> (unit -> 'a) -> 'a
 (** [span t ~cat name f] runs [f] and records a complete span covering
     its virtual-time extent (also on exception). [args] is only

@@ -61,10 +61,6 @@ val create : rule list -> t
 val attach : t -> Timeseries.t -> unit
 (** Subscribe evaluation to every sweep of the given timeseries. *)
 
-val evaluate : t -> Timeseries.t -> now:int -> unit
-(** Evaluate all rules once against the current series state (what
-    {!attach} runs per sweep; exposed for direct-drive tests). *)
-
 val set_trace : t -> Trace.t -> unit
 (** Mirror every alert into the trace as an instant event
     (category ["watchdog"], args rule/key/value/msg). *)

@@ -34,7 +34,6 @@ let set s i =
   end
 
 let cardinal s = s.held
-let is_complete s = s.held = s.chunks
 
 let copy s = { chunks = s.chunks; bits = Bytes.copy s.bits; held = s.held }
 

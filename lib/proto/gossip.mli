@@ -25,7 +25,6 @@ val set : summary -> int -> unit
 
 val mem : summary -> int -> bool
 val cardinal : summary -> int
-val is_complete : summary -> bool
 val copy : summary -> summary
 
 val equal : summary -> summary -> bool

@@ -71,7 +71,6 @@ type client = {
   mutable prefetches : prefetch list;  (* oldest first, up to 2 deep *)
   wb_slots : Semaphore.t;
   mutable ops : int;
-  mutable hits : int;
 }
 
 and prefetch = {
@@ -153,7 +152,6 @@ let create_server sim ~fabric ~name ~disk protocol =
 (* --- client --- *)
 
 let ops_issued c = c.ops
-let cache_hits c = c.hits
 
 let connect sim ~fabric ~name server =
   let c =
@@ -169,8 +167,7 @@ let connect sim ~fabric ~name server =
       ra_size = (params_of Iscsi).readahead_sectors;
       prefetches = [];
       wb_slots = Semaphore.create 4;
-      ops = 0;
-      hits = 0 }
+      ops = 0 }
   in
   let c =
     { c with
@@ -249,7 +246,6 @@ let read c ~lba ~count =
             let avail = c.ra_lba + Array.length c.ra_data - l in
             let n = min avail (count - off) in
             Array.blit c.ra_data (l - c.ra_lba) out off n;
-            c.hits <- c.hits + 1;
             go (off + n)
           end
           else begin

@@ -21,8 +21,6 @@ type params = {
   readahead_sectors : int;  (** 0 disables client read-ahead *)
 }
 
-val params_of : protocol -> params
-
 type server
 
 val create_server :
@@ -32,8 +30,6 @@ val create_server :
   disk:Bmcast_storage.Disk.t ->
   protocol ->
   server
-
-val server_port_id : server -> int
 
 type client
 
@@ -51,4 +47,3 @@ val read : client -> lba:int -> count:int -> Bmcast_storage.Content.t array
 val write : client -> lba:int -> count:int -> Bmcast_storage.Content.t array -> unit
 
 val ops_issued : client -> int
-val cache_hits : client -> int

@@ -31,7 +31,6 @@ let command_overhead = Time.us 20
 
 type t = {
   sim : Sim.t;
-  base : int;
   dma : Dma.t;
   disk : Disk.t;
   irq : Irq.t;
@@ -53,10 +52,6 @@ type t = {
   mutable irqs_raised : int;
 }
 
-let base t = t.base
-let irq_vec t = t.irq_vec
-let dma t = t.dma
-let disk t = t.disk
 let commands_processed t = t.commands_processed
 let irqs_raised t = t.irqs_raised
 
@@ -197,7 +192,6 @@ let raw_handler t =
 let create sim ~mmio ~base ~dma ~disk ~irq ~irq_vec =
   let t =
     { sim;
-      base;
       dma;
       disk;
       irq;

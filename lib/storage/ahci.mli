@@ -53,11 +53,6 @@ val create :
   t
 (** Create the controller and map its register region at [base]. *)
 
-val base : t -> int
-val irq_vec : t -> int
-val dma : t -> Dma.t
-val disk : t -> Disk.t
-
 val raw : t -> Bmcast_hw.Mmio.handler
 (** Direct register access that bypasses any interposer — how a VMM that
     owns the platform reaches the device underneath its own traps. *)

@@ -19,9 +19,6 @@ type t =
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
-val fresh_tag : unit -> int
-(** Allocate a unique tag for a guest write. *)
-
 val image : int -> t
 (** Interned [Image lba]: hot constructors come from a process-wide
     cache so repeated materialization of the same sector (every replica

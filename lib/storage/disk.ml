@@ -87,7 +87,6 @@ let create sim profile =
     spike_until = 0;
     read_errors = 0 }
 
-let profile t = t.profile
 let capacity_sectors t = t.profile.capacity_sectors
 
 (* --- fault injection hook points --- *)

@@ -32,7 +32,6 @@ val ssd_sata : profile
 type t
 
 val create : Bmcast_engine.Sim.t -> profile -> t
-val profile : t -> profile
 val capacity_sectors : t -> int
 
 (** {2 Timed operations (process context)} *)

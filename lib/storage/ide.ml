@@ -20,7 +20,6 @@ let cmd_flush = 0xE7
 
 let status_bsy = 0x80
 let status_drdy = 0x40
-let status_err = 0x01
 
 module Bm = struct
   let command = 0
@@ -38,9 +37,6 @@ let command_overhead = Time.us 35
 
 type t = {
   sim : Sim.t;
-  cmd_base : int;
-  bm_base : int;
-  ctrl_base : int;
   dma : Dma.t;
   disk : Disk.t;
   irq : Irq.t;
@@ -65,17 +61,9 @@ type t = {
      bus master is started *)
   mutable armed : int option;
   mutable commands_processed : int;
-  mutable irqs_raised : int;
 }
 
-let cmd_base t = t.cmd_base
-let bm_base t = t.bm_base
-let ctrl_base t = t.ctrl_base
-let irq_vec t = t.irq_vec
-let dma t = t.dma
-let disk t = t.disk
 let commands_processed t = t.commands_processed
-let irqs_raised t = t.irqs_raised
 
 let register_prdt t prds =
   let addr = t.next_addr in
@@ -135,7 +123,6 @@ let execute t cmd =
   t.bm_cmd <- t.bm_cmd land lnot 0x01;
   t.bm_status <- (t.bm_status land lnot 0x01) lor 0x04;
   if t.ctrl land ctrl_nien = 0 then begin
-    t.irqs_raised <- t.irqs_raised + 1;
     Irq.raise_irq t.irq ~vec:t.irq_vec
   end
 
@@ -221,9 +208,6 @@ let raw_ctrl t = { Pio.inp = ctrl_inp t; outp = ctrl_outp t }
 let create sim ~pio ~cmd_base ~bm_base ~ctrl_base ~dma ~disk ~irq ~irq_vec =
   let t =
     { sim;
-      cmd_base;
-      bm_base;
-      ctrl_base;
       dma;
       disk;
       irq;
@@ -241,8 +225,7 @@ let create sim ~pio ~cmd_base ~bm_base ~ctrl_base ~dma ~disk ~irq ~irq_vec =
       next_addr = 0x9000_0000;
       prdts = Hashtbl.create 16;
       armed = None;
-      commands_processed = 0;
-      irqs_raised = 0 }
+      commands_processed = 0 }
   in
   Pio.map pio ~base:cmd_base ~count:8 (raw_cmd t);
   Pio.map pio ~base:bm_base ~count:8 (raw_bm t);

@@ -14,8 +14,6 @@
 (** Port offsets relative to the command block base. Writing [command]
     issues a command; reading it returns the status register. *)
 module Regs : sig
-  val data : int
-  val features : int
   val seccount : int
   val lba0 : int
   val lba1 : int
@@ -31,7 +29,6 @@ val cmd_flush : int
 
 val status_bsy : int
 val status_drdy : int
-val status_err : int
 
 (** Bus-master register offsets relative to the bus-master base:
     [command] (bit 0 = start), [status] (bit 0 = active, bit 2 = IRQ,
@@ -62,13 +59,6 @@ val create :
   irq_vec:int ->
   t
 
-val cmd_base : t -> int
-val bm_base : t -> int
-val ctrl_base : t -> int
-val irq_vec : t -> int
-val dma : t -> Dma.t
-val disk : t -> Disk.t
-
 val raw_cmd : t -> Bmcast_hw.Pio.handler
 (** Direct task-file access bypassing interposers. *)
 
@@ -82,4 +72,3 @@ val register_prdt : t -> prd list -> int
 val prdt : t -> addr:int -> prd list
 
 val commands_processed : t -> int
-val irqs_raised : t -> int
