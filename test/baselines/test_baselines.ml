@@ -1,5 +1,4 @@
-(* Tests for the comparison stacks: KVM, image copying, network boot,
-   kickstart. *)
+(* Tests for the comparison stacks: KVM, image copying, network boot. *)
 
 module Sim = Bmcast_engine.Sim
 module Time = Bmcast_engine.Time
@@ -14,7 +13,6 @@ module Cpu_model = Bmcast_platform.Cpu_model
 module Kvm = Bmcast_baselines.Kvm
 module Image_copy = Bmcast_baselines.Image_copy
 module Net_boot = Bmcast_baselines.Net_boot
-module Kickstart = Bmcast_baselines.Kickstart
 module Stacks = Bmcast_experiments.Stacks
 
 let check_bool = Alcotest.(check bool)
@@ -185,20 +183,6 @@ let test_netboot_slower_than_local () =
   in
   check_bool "network path slower" true (net > local)
 
-(* --- Kickstart --- *)
-
-let test_kickstart_takes_tens_of_minutes () =
-  let b =
-    in_env (fun env ->
-        let m = Stacks.machine env ~name:"ks" () in
-        Kickstart.run m ())
-  in
-  let total = Time.to_float_s (b.Kickstart.fetch + b.Kickstart.install) in
-  check_bool
-    (Printf.sprintf "%.0f s in [600, 3600]" total)
-    true
-    (total > 600.0 && total < 3600.0)
-
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "baselines"
@@ -214,6 +198,4 @@ let () =
           tc "requires servers" `Quick test_image_copy_requires_servers ] );
       ( "net-boot",
         [ tc "serves without local disk" `Quick test_netboot_serves_without_local_disk;
-          tc "slower than local" `Quick test_netboot_slower_than_local ] );
-      ( "kickstart",
-        [ tc "tens of minutes" `Quick test_kickstart_takes_tens_of_minutes ] ) ]
+          tc "slower than local" `Quick test_netboot_slower_than_local ] ) ]

@@ -407,21 +407,23 @@ let test_prng_float_bounds () =
 
 let test_prng_exponential_mean () =
   let p = Prng.create 11 in
-  let m = Stats.Mean.create () in
+  let h = Stats.Histogram.create () in
   for _ = 1 to 50_000 do
-    Stats.Mean.add m (Prng.exponential p 5.0)
+    Stats.Histogram.add h (Prng.exponential p 5.0)
   done;
-  let mu = Stats.Mean.mean m in
+  let mu = Stats.Histogram.mean h in
   check_bool "mean near 5" true (abs_float (mu -. 5.0) < 0.2)
 
 let test_prng_gaussian_moments () =
   let p = Prng.create 12 in
-  let m = Stats.Mean.create () in
+  let h = Stats.Histogram.create () in
   for _ = 1 to 50_000 do
-    Stats.Mean.add m (Prng.gaussian p ~mu:10.0 ~sigma:2.0)
+    Stats.Histogram.add h (Prng.gaussian p ~mu:10.0 ~sigma:2.0)
   done;
-  check_bool "mean near 10" true (abs_float (Stats.Mean.mean m -. 10.0) < 0.1);
-  check_bool "std near 2" true (abs_float (Stats.Mean.stddev m -. 2.0) < 0.1)
+  check_bool "mean near 10" true
+    (abs_float (Stats.Histogram.mean h -. 10.0) < 0.1);
+  check_bool "std near 2" true
+    (abs_float (Stats.Histogram.stddev h -. 2.0) < 0.1)
 
 let test_prng_zipf_skew () =
   let p = Prng.create 13 in
@@ -878,13 +880,6 @@ let test_rate_windows () =
     [ (0, 100.0); (Time.s 1, 200.0) ]
     windows
 
-let test_mean_welford () =
-  let m = Stats.Mean.create () in
-  List.iter (Stats.Mean.add m) [ 1.0; 2.0; 3.0; 4.0 ];
-  check_int "count" 4 (Stats.Mean.count m);
-  check_float "mean" 2.5 (Stats.Mean.mean m);
-  check_bool "stddev" true (abs_float (Stats.Mean.stddev m -. 1.2909944487) < 1e-6)
-
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "engine"
@@ -957,5 +952,4 @@ let () =
           tc "histogram clear" `Quick test_histogram_clear;
           tc "histogram stddev" `Quick test_histogram_stddev;
           QCheck_alcotest.to_alcotest prop_histogram_percentile_monotone;
-          tc "rate windows" `Quick test_rate_windows;
-          tc "mean welford" `Quick test_mean_welford ] ) ]
+          tc "rate windows" `Quick test_rate_windows ] ) ]

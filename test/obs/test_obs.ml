@@ -176,23 +176,6 @@ let prop_percentile_bounds =
       && Stats.Histogram.percentile h 100.0 = hi
       && vp >= lo && vq <= hi && vp <= vq)
 
-let prop_welford_matches_two_pass =
-  QCheck.Test.make ~count:300
-    ~name:"Welford mean/stddev match the two-pass computation"
-    QCheck.(list_of_size Gen.(int_range 2 60) (float_range (-1e3) 1e3))
-    (fun xs ->
-      let m = Stats.Mean.create () in
-      List.iter (Stats.Mean.add m) xs;
-      let n = float_of_int (List.length xs) in
-      let mean = List.fold_left ( +. ) 0.0 xs /. n in
-      let var =
-        List.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 xs
-        /. (n -. 1.0)
-      in
-      let exact = sqrt var in
-      Float.abs (Stats.Mean.mean m -. mean) <= 1e-9 *. (1.0 +. Float.abs mean)
-      && Float.abs (Stats.Mean.stddev m -. exact) <= 1e-6 *. (1.0 +. exact))
-
 let test_per_window_zero_fills_gaps () =
   let r = Stats.Rate.create () in
   Alcotest.(check (list (pair int (float 0.0))))
@@ -1051,7 +1034,6 @@ let () =
           Alcotest.test_case "histogram spill" `Quick test_histogram_spill;
           qt prop_bucketed_percentile_error;
           qt prop_percentile_bounds;
-          qt prop_welford_matches_two_pass;
           Alcotest.test_case "per_window zero-fills gaps" `Quick
             test_per_window_zero_fills_gaps;
           Alcotest.test_case "window boundaries are half-open" `Quick
