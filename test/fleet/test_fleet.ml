@@ -288,6 +288,24 @@ let test_scheduler_single_use () =
 
 (* --- end-to-end: fleet deployment, failover, determinism --- *)
 
+(* An out-of-range fault index is rejected before the run: a crash or
+   restart used to fail inside a scheduled callback, and a peer crash
+   was silently ignored. *)
+let test_fleet_rejects_bad_fault_indices () =
+  let rejects name f =
+    check_bool name true
+      (try
+         ignore (f () : Scaleout.result);
+         false
+       with Invalid_argument _ -> true)
+  in
+  let deploy = Scaleout.deploy_fleet ~image_mb:4 ~machines:4 ~replicas:2 in
+  rejects "crash index" (fun () -> deploy ~crashes:[ (Time.s 1, 2) ] ());
+  rejects "restart index" (fun () -> deploy ~restarts:[ (Time.s 1, 5) ] ());
+  rejects "peer crash index" (fun () ->
+      deploy ~distribution:`P2p ~peer_crashes:[ (Time.s 1, 4) ] ());
+  rejects "negative index" (fun () -> deploy ~crashes:[ (Time.s 1, -1) ] ())
+
 (* 16 machines x 3 replicas with replica 1 crashed mid-copy and never
    restarted: every deployment must still de-virtualize (deploy_fleet
    raises otherwise), surviving replicas absorb the load via failover. *)
@@ -687,7 +705,9 @@ let () =
           tc "stagger" `Quick test_scheduler_stagger;
           tc "single use" `Quick test_scheduler_single_use ] );
       ( "fleet",
-        [ tc "failover converges" `Slow test_fleet_failover_converges;
+        [ tc "rejects bad fault indices" `Quick
+            test_fleet_rejects_bad_fault_indices;
+          tc "failover converges" `Slow test_fleet_failover_converges;
           tc "deterministic trace" `Slow test_fleet_deterministic_trace;
           tc "1000-client deterministic trace" `Slow
             test_fleet_scale_deterministic_trace;
