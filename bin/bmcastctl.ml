@@ -59,16 +59,19 @@ let setup_logs quiet verbose =
      else if verbose then Some Logs.Debug
      else Some Logs.Warning)
 
+(* Size and count flags take positive integers. A bad value is a usage
+   error, reported before anything runs. *)
+let positive flag n =
+  if n < 1 then begin
+    Logs.err (fun m -> m "--%s must be positive (got %d)" flag n);
+    exit 2
+  end
+
 (* --- observability plumbing shared by the subcommands --- *)
 
-let make_tracer ?(sample_every = 1) = function
+let make_tracer ~sample_every = function
   | None -> Trace.null
-  | Some _ ->
-    if sample_every < 1 then begin
-      Logs.err (fun m -> m "--trace-sample must be >= 1 (got %d)" sample_every);
-      exit 2
-    end;
-    Trace.create ~capacity:(1 lsl 22) ~sample_every ()
+  | Some _ -> Trace.create ~capacity:(1 lsl 22) ~sample_every ()
 
 let make_metrics = function None -> Metrics.null | Some _ -> Metrics.create ()
 
@@ -120,13 +123,12 @@ let show_watchdog w =
             (float_of_int (Watchdog.detection_latency_ns d) /. 1e9)))
     (Watchdog.detections w)
 
-let default_fleet_rules () =
-  [ Watchdog.threshold ~name:"server-down" ~key:"vblade.up" Watchdog.Below 0.5 ]
-
 (* --- deploy: one instance, streaming deployment, progress timeline --- *)
 
 let deploy () image_gb disk watch trace_out metrics_out filter jsonl
     trace_sample =
+  positive "image-gb" image_gb;
+  positive "trace-sample" trace_sample;
   let disk_kind =
     match disk with
     | "ide" -> Machine.Ide_disk
@@ -251,6 +253,8 @@ let spawn_deployment tb vmm_ref =
 
 let chaos () scenario seed image_mb trace_out metrics_out filter jsonl
     trace_sample =
+  positive "image-mb" image_mb;
+  positive "trace-sample" trace_sample;
   let plan =
     resolve_plan ~seed ~image_sectors:(image_mb * 2048) scenario
   in
@@ -299,13 +303,12 @@ let chaos () scenario seed image_mb trace_out metrics_out filter jsonl
 
 let trace_cmd () scenario seed image_mb image_gb output jsonl metrics_out
     filter trace_sample =
+  positive "image-mb" image_mb;
+  Option.iter (positive "image-gb") image_gb;
+  positive "trace-sample" trace_sample;
   let image_mb =
     match image_gb with Some gb -> gb * 1024 | None -> image_mb
   in
-  if trace_sample < 1 then begin
-    Logs.err (fun m -> m "--trace-sample must be >= 1 (got %d)" trace_sample);
-    exit 2
-  end;
   let tracer =
     Trace.create ~capacity:(1 lsl 22) ~sample_every:trace_sample ()
   in
@@ -348,21 +351,30 @@ module Scaleout = Bmcast_experiments.Scaleout
 module Replica_set = Bmcast_fleet.Replica_set
 module Scheduler = Bmcast_fleet.Scheduler
 
-(* "<ms>:<replica>" -> (span, replica index) *)
-let parse_fault_spec what s =
+(* "<ms>:<replica>" -> (span, replica index); the index must name one of
+   the [replicas] storage replicas. *)
+let parse_fault_spec ~replicas what s =
+  let bad why =
+    Logs.err (fun m -> m "bad --%s %S (%s)" what s why);
+    exit 2
+  in
   match String.split_on_char ':' s with
   | [ ms; i ] -> (
     match (int_of_string_opt ms, int_of_string_opt i) with
-    | Some ms, Some i when ms >= 0 && i >= 0 -> (Time.ms ms, i)
-    | _ ->
-      Logs.err (fun m -> m "bad --%s %S (want <ms>:<replica>)" what s);
-      exit 2)
-  | _ ->
-    Logs.err (fun m -> m "bad --%s %S (want <ms>:<replica>)" what s);
-    exit 2
+    | Some ms, Some i when ms >= 0 && i >= 0 ->
+      if i >= replicas then
+        bad (Printf.sprintf "replica %d out of range, %d replica(s)" i replicas)
+      else (Time.ms ms, i)
+    | _ -> bad "want <ms>:<replica>")
+  | _ -> bad "want <ms>:<replica>"
 
 let fleet_cmd () machines replicas policy sched limit image_mb seed crash
     restart trace_out metrics_out filter jsonl trace_sample =
+  positive "machines" machines;
+  positive "replicas" replicas;
+  positive "limit-per-server" limit;
+  positive "image-mb" image_mb;
+  positive "trace-sample" trace_sample;
   let policy =
     match Replica_set.policy_of_string policy with
     | Some p -> p
@@ -382,14 +394,14 @@ let fleet_cmd () machines replicas policy sched limit image_mb seed crash
           m "unknown schedule %S (all | waves:<k> | stagger:<ms>)" sched);
       exit 2
   in
-  let crashes = List.map (parse_fault_spec "crash") crash in
-  let restarts = List.map (parse_fault_spec "restart") restart in
+  let crashes = List.map (parse_fault_spec ~replicas "crash") crash in
+  let restarts = List.map (parse_fault_spec ~replicas "restart") restart in
   let tracer = make_tracer ~sample_every:trace_sample trace_out in
   (* The fleet always runs with live telemetry so the watchdog summary
      below (and any --metrics snapshot) is populated. *)
   let metrics = Metrics.create () in
   let timeseries = Timeseries.create metrics in
-  let watchdog = Watchdog.create (default_fleet_rules ()) in
+  let watchdog = Watchdog.create Scaleout.default_rules in
   Watchdog.attach watchdog timeseries;
   Logs.app (fun m ->
       m
@@ -513,19 +525,17 @@ let render_frame ~metrics ~timeseries ~watchdog ~filtered ~now =
 
 let watch_cmd () machines replicas limit image_mb seed crash restart
     interval_ms refresh filter rules min_alerts ts_out om_out =
-  if interval_ms <= 0 then begin
-    Logs.err (fun m -> m "--interval-ms must be positive (got %d)" interval_ms);
-    exit 2
-  end;
-  if refresh < 1 then begin
-    Logs.err (fun m -> m "--refresh must be >= 1 (got %d)" refresh);
-    exit 2
-  end;
-  let crashes = List.map (parse_fault_spec "crash") crash in
-  let restarts = List.map (parse_fault_spec "restart") restart in
+  positive "machines" machines;
+  positive "replicas" replicas;
+  positive "limit-per-server" limit;
+  positive "image-mb" image_mb;
+  positive "interval-ms" interval_ms;
+  positive "refresh" refresh;
+  let crashes = List.map (parse_fault_spec ~replicas "crash") crash in
+  let restarts = List.map (parse_fault_spec ~replicas "restart") restart in
   let rules =
     match rules with
-    | [] -> default_fleet_rules ()
+    | [] -> Scaleout.default_rules
     | specs ->
       List.map
         (fun s ->
@@ -592,6 +602,9 @@ module Profile = Bmcast_obs.Profile
 module Os_guest = Bmcast_guest.Os
 
 let report_cmd () machines replicas image_mb seed slo_s detailed output =
+  positive "machines" machines;
+  positive "replicas" replicas;
+  positive "image-mb" image_mb;
   (* The per-operation table needs the op-level spans (AoE commands,
      copy-on-read redirects, background-copy chunks) in addition to the
      boot pipeline; record exactly those categories so fleet-scale runs
@@ -638,6 +651,7 @@ let report_cmd () machines replicas image_mb seed slo_s detailed output =
 (* --- compare: startup-time comparison (Figure 4 on demand) --- *)
 
 let compare_cmd () image_gb =
+  positive "image-gb" image_gb;
   Bmcast_experiments.Fig04_startup.run ~image_gb ();
   0
 
