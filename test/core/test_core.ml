@@ -964,6 +964,29 @@ let test_shared_nic_full_deployment () =
   Sim.run ~until:(Time.minutes 30) rig.sim;
   check_int "zero traps after shared-nic devirt" 0 !traps_after
 
+(* An exception in the VMM's rx path fails the simulation under the
+   poller's name, however the poller is scheduled. *)
+let test_netdrv_failure_names_poller () =
+  let nsim = Sim.create () in
+  let fabric = Fabric_m.create nsim () in
+  let nmachine =
+    Machine.create nsim ~name:"n" ~disk_profile:test_disk_profile ~fabric ()
+  in
+  let peer = Fabric_m.attach fabric ~name:"peer" (fun _ -> ()) in
+  let mgmt = Fabric_m.port_id (Nic.port nmachine.Machine.mgmt_nic) in
+  ignore
+    (Bmcast_core.Vmm_netdrv.attach nmachine ~poll_interval:(Time.us 30)
+       ~on_frame:(fun _ -> failwith "bad frame")
+       ()
+      : Bmcast_core.Vmm_netdrv.t);
+  Sim.spawn_at nsim Time.zero (fun () ->
+      Fabric_m.send peer ~dst:mgmt ~size_bytes:100 (Packet.Raw "x"));
+  match Sim.run ~until:(Time.s 1) nsim with
+  | () -> Alcotest.fail "expected Process_failure"
+  | exception Sim.Process_failure (name, Failure msg) ->
+    Alcotest.(check string) "process" "vmm-netdrv-poll" name;
+    Alcotest.(check string) "cause" "bad frame" msg
+
 (* --- management-NIC visibility (§4.3) --- *)
 
 let mgmt_bdf = { Bmcast_hw.Pci.bus = 0; dev = 4; fn = 0 }
@@ -1151,6 +1174,8 @@ let () =
           tc "rx demux" `Quick test_nicmed_rx_demux;
           tc "rx drop without buffers" `Quick test_nicmed_rx_drop_without_buffers;
           tc "devirtualize hands back" `Quick test_nicmed_devirtualize_hands_back;
+          tc "netdrv failure names the poller" `Quick
+            test_netdrv_failure_names_poller;
           tc "shared-nic full deployment" `Slow test_shared_nic_full_deployment ] );
       ( "devirtualization",
         [ tc "zero overhead" `Quick test_devirt_zero_overhead;

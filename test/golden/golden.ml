@@ -7,6 +7,10 @@ module Time = Bmcast_engine.Time
 module Fig04 = Bmcast_experiments.Fig04_startup
 module Fig14 = Bmcast_experiments.Fig14_moderation
 module Scaleout = Bmcast_experiments.Scaleout
+module Sim = Bmcast_engine.Sim
+module Fabric = Bmcast_net.Fabric
+module Vblade = Bmcast_proto.Vblade
+module Trace = Bmcast_obs.Trace
 
 let fig04 () =
   (* Small image so the regression stays fast; the ordering claims the
@@ -63,11 +67,43 @@ let fleet () =
         r.mcast_fill_bytes r.failovers r.sim_events)
     [ `Unicast; `P2p; `Mcast ]
 
+let trace () =
+  (* The scheduler's event order, pinned across builds: one small fleet
+     per distribution mode with a NIC stall and a link flap on the
+     storage tier, traced through the engine, fabric, AoE, fleet and
+     server layers. The same-seed tests only compare two runs of one
+     build; these digests must also survive a rewrite of the engine or
+     of a process loop that claims to keep every event. *)
+  let chaos sim _fabric vblades =
+    let port i = Vblade.port (List.nth vblades i) in
+    let at ms f = Sim.schedule sim (Time.ms ms) f in
+    at 6500 (fun () -> Fabric.stall (port 0) (Time.ms 40));
+    at 7000 (fun () -> Fabric.set_link_up (port 1) false);
+    at 7300 (fun () -> Fabric.set_link_up (port 1) true)
+  in
+  List.iter
+    (fun distribution ->
+      let tr =
+        Trace.create
+          ~categories:[ "sim"; "net"; "aoe"; "fleet"; "server" ]
+          ~sample_every:16 ()
+      in
+      let r =
+        Scaleout.deploy_fleet ~seed:7 ~image_mb:2 ~machines:6 ~replicas:2
+          ~limit_per_server:4 ~uplink_mbps:100. ~mcast_passes:6 ~distribution
+          ~boot_profile:Bmcast_guest.Os.cloud_minimal ~chaos ~trace:tr ()
+      in
+      Printf.printf "%s trace events %d dropped %d md5 %s\n"
+        r.Scaleout.distribution (Trace.event_count tr) (Trace.dropped tr)
+        (Digest.to_hex (Digest.string (Trace.to_jsonl tr))))
+    [ `Unicast; `P2p; `Mcast ]
+
 let () =
   match Sys.argv with
   | [| _; "fig04" |] -> fig04 ()
   | [| _; "fig14" |] -> fig14 ()
   | [| _; "fleet" |] -> fleet ()
+  | [| _; "trace" |] -> trace ()
   | _ ->
-    prerr_endline "usage: golden (fig04|fig14|fleet)";
+    prerr_endline "usage: golden (fig04|fig14|fleet|trace)";
     exit 2
