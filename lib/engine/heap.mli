@@ -1,14 +1,34 @@
-(** Binary min-heap of timestamped events.
+(** The simulation's event queue: a min-heap of timestamped values.
 
-    Events with equal timestamps pop in insertion (FIFO) order, which keeps
-    the simulation deterministic. *)
+    Values pop in nondecreasing time order, and values with equal
+    timestamps pop in insertion (FIFO) order, which keeps the simulation
+    deterministic.
+
+    A 4-ary heap sorts unboxed [int] keys and keeps the values in a
+    free-listed pool: once the queue has grown to its peak size, a
+    {!push}/{!next_time}/{!pop_exn} cycle allocates nothing. A popped
+    value is no longer reachable from the queue. *)
 
 type 'a t
 
 val create : unit -> 'a t
 
 val push : 'a t -> Time.t -> 'a -> unit
-(** [push h time v] inserts [v] with priority [time]. *)
+(** [push h time v] inserts [v] with priority [time]. Raises
+    [Invalid_argument] past 2{^24} queued values or 2{^38} pushes over
+    the queue's lifetime. *)
+
+val no_time : Time.t
+(** Sentinel returned by {!next_time} on an empty queue ([max_int]). *)
+
+val next_time : 'a t -> Time.t
+(** Allocation-free peek: the earliest timestamp, or {!no_time} when
+    empty. *)
+
+val pop_exn : 'a t -> 'a
+(** Allocation-free pop of the earliest value (its time is what
+    {!next_time} just returned). Raises [Invalid_argument] when
+    empty. *)
 
 val pop : 'a t -> (Time.t * 'a) option
 (** Remove and return the earliest event, or [None] if empty. *)
