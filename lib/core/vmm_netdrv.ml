@@ -16,6 +16,7 @@ type t = {
   mutable rx_idx : int;  (* next descriptor to consume *)
   mutable rdt : int;
   mutable running : bool;
+  mutable backoff : int;
 }
 
 let reg t off = Mmio.read t.machine.Machine.mmio (t.base + off)
@@ -27,7 +28,9 @@ let wreg t off v = Mmio.write t.machine.Machine.mmio (t.base + off) v
    keeps idle deployment phases cheap. *)
 let max_backoff = 64
 
-let rec poll_loop t backoff =
+(* One poll: drain the RX ring, then re-queue [job] one (backed-off)
+   interval later. *)
+let poll t job =
   if t.running then begin
     let rdh = reg t Nic.Regs.rdh in
     let saw_traffic = t.rx_idx <> rdh in
@@ -45,9 +48,8 @@ let rec poll_loop t backoff =
       t.rdt <- (t.rdt + 1) mod Nic.ring_size;
       wreg t Nic.Regs.rdt t.rdt
     done;
-    let backoff = if saw_traffic then 1 else min max_backoff (backoff * 2) in
-    Sim.sleep (t.poll_interval * backoff);
-    poll_loop t backoff
+    t.backoff <- (if saw_traffic then 1 else min max_backoff (t.backoff * 2));
+    Sim.sleep_job job (t.poll_interval * t.backoff)
   end
 
 let attach machine ?(which = `Mgmt) ~poll_interval ~on_frame () =
@@ -72,7 +74,8 @@ let attach machine ?(which = `Mgmt) ~poll_interval ~on_frame () =
       tx_idx = 0;
       rx_idx = 0;
       rdt = Nic.ring_size - 1;
-      running = true }
+      running = true;
+      backoff = 1 }
   in
   (* Program our rings (resets head/tail), polling mode: interrupts
      off, publish all but one RX buffer. *)
@@ -80,8 +83,11 @@ let attach machine ?(which = `Mgmt) ~poll_interval ~on_frame () =
   wreg t Nic.Regs.rdba t.rx_ring;
   wreg t Nic.Regs.ie 0;
   wreg t Nic.Regs.rdt t.rdt;
-  Sim.spawn_at machine.Machine.sim ~name:"vmm-netdrv-poll"
-    (Sim.now machine.Machine.sim) (fun () -> poll_loop t 1);
+  let rec job =
+    lazy (Sim.job machine.Machine.sim ~name:"vmm-netdrv-poll" (fun () ->
+        poll t (Lazy.force job)))
+  in
+  Sim.start_job (Lazy.force job);
   t
 
 let send t ~dst ~size_bytes payload =

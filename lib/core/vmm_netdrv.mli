@@ -3,9 +3,10 @@
     BMcast ships tiny drivers (PRO/1000: 718 LoC; X540: 614; RTL816x:
     757; NetXtreme: 620) that only need to "send and receive packets
     with polling" on the dedicated management NIC. This is that driver
-    against the e1000-style ring model: interrupts stay off, a poll
-    thread drains the RX ring on the preemption-timer cadence, and TX
-    descriptors are pushed straight through the tail register. *)
+    against the e1000-style ring model: interrupts stay off, a poll job
+    (a {!Bmcast_engine.Sim.job} named ["vmm-netdrv-poll"]) drains the RX
+    ring on the preemption-timer cadence, and TX descriptors are pushed
+    straight through the tail register. *)
 
 type t
 
@@ -17,7 +18,11 @@ val attach :
   unit ->
   t
 (** Start polling a NIC (default: the dedicated management NIC;
-    [`Prod] models the shared-NIC configuration of §6). *)
+    [`Prod] models the shared-NIC configuration of §6). The first poll
+    runs at the current time; an idle ring backs the interval off up to
+    64×. [on_frame] runs inside the poll job: it must not block, and an
+    exception it raises makes [Sim.run] raise
+    [Process_failure ("vmm-netdrv-poll", e)]. *)
 
 val send : t -> dst:int -> size_bytes:int -> Bmcast_net.Packet.payload -> unit
 val stop : t -> unit

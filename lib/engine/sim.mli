@@ -78,6 +78,41 @@ val request_stop : t -> unit
     pending events stay queued. Callable from anywhere, including inside
     a process. *)
 
+(** {1 Callback jobs}
+
+    A job is the cheap form of a process whose loop ends every step in
+    exactly one scheduling point: a preallocated, named callback that
+    runs to completion and re-queues itself. Queueing one allocates
+    nothing and costs no effect perform/resume. Each way of queueing it
+    records what the matching process operation records, so converting
+    such a loop to a job keeps its events, their order and its trace
+    byte for byte. *)
+
+type job
+
+val job : t -> name:string -> (unit -> unit) -> job
+(** [job sim ~name f] makes a job that runs [f] each time it is dequeued.
+    It is not queued yet. [f] runs outside any process: it must not
+    block or perform any other effect ([sleep], [park], [spawn],
+    [clock], [self], ...). An exception [f] raises — including the
+    [Effect.Unhandled] of a performed effect — makes {!run} raise
+    [Process_failure (name, e)], as a failing process named [name]
+    would. *)
+
+val start_job : job -> unit
+(** Queue the job at the current time, untraced: what {!spawn_at} at the
+    current time records for a process's first step.
+    @raise Invalid_argument if the job is already queued (this and the
+    two below). *)
+
+val wake_job : job -> unit
+(** Queue the job at the current time: what waking a parked process
+    records (a sampled ["sim"]/["wake"] instant). *)
+
+val sleep_job : job -> Time.span -> unit
+(** Queue the job after a delay (clamped at 0): what {!sleep} records
+    (a sampled ["sim"]/["sleep"] span, closed when the job runs). *)
+
 (** {1 Inside a process}
 
     The following must be called from within a process spawned on the

@@ -1,7 +1,8 @@
 module Sim = Bmcast_engine.Sim
 module Time = Bmcast_engine.Time
 module Prng = Bmcast_engine.Prng
-module Mailbox = Bmcast_engine.Mailbox
+module Ring = Bmcast_engine.Ring
+module Pulse = Bmcast_engine.Signal.Pulse
 module Trace = Bmcast_obs.Trace
 module Metrics = Bmcast_obs.Metrics
 
@@ -21,6 +22,32 @@ type loss_model =
 (* One-way propagation plus switch forwarding delay. *)
 let latency = Time.us 20
 
+(* One direction of a port — its uplink (endpoint -> switch) or its
+   egress (switch -> endpoint) — as a run-to-completion job over a frame
+   queue; [step] says what the job's next run does. Each run ends by
+   re-queueing the job with [Sim.sleep_job], or by parking it on an
+   empty queue for [enqueue] to wake with [Sim.wake_job]: one event per
+   step, recorded as a process's sleep or wake-up is. *)
+type 'step wire = {
+  queue : Packet.t Ring.t;
+  job : Sim.job;
+  mutable step : 'step;
+  mutable parked : bool;  (* idle on an empty queue; the next frame wakes it *)
+  mutable frame : Packet.t;  (* the frame in flight *)
+  mutable since : Time.t;  (* when [frame] was dequeued: its span's start *)
+}
+
+type up_step =
+  | Up_take  (* dequeue the next frame, or park *)
+  | Up_stall  (* a NIC stall was slept out: check again, then serialize *)
+  | Up_serialized  (* the frame left the wire: propagate it to the switch *)
+  | Up_propagated  (* the frame reached the switch: forward it *)
+
+type eg_step =
+  | Eg_take
+  | Eg_stall
+  | Eg_serialized  (* the frame left the wire: deliver it *)
+
 type t = {
   sim : Sim.t;
   rate : float;
@@ -38,7 +65,7 @@ type t = {
   (* Frame free-list (see the ownership rules in fabric.mli). [rx_keep]
      is a per-delivery flag: an rx handler that retains the frame sets
      it via [keep_frame] before returning. Safe as a single cell because
-     rx handlers run synchronously in the egress process. *)
+     rx handlers run synchronously in an egress job. *)
   pooling : bool;
   mutable free_frames : Packet.t array;
   mutable n_free : int;
@@ -61,9 +88,9 @@ and port = {
   name : string;
   fab : t;
   rx : Packet.t -> unit;
-  uplink : Packet.t Mailbox.t;  (* endpoint -> switch *)
-  egress : Packet.t Mailbox.t;  (* switch -> endpoint *)
-  tx_drain : Bmcast_engine.Signal.Pulse.t;
+  uplink : up_step wire;  (* endpoint -> switch *)
+  egress : eg_step wire;  (* switch -> endpoint *)
+  tx_drain : Pulse.t;
   mutable bytes_out : int;
   mutable busy_ns : int;  (* cumulative uplink serialization time *)
   mutable link_up : bool;
@@ -243,30 +270,47 @@ let release_frame t f =
 let keep_frame t = t.rx_keep <- true
 let pool_free_count t = t.n_free
 
-(* A stalled NIC neither serializes nor accepts frames until the stall
-   expires; queued frames survive and drain afterwards. *)
-let rec stall_wait port =
-  let now = Sim.now port.fab.sim in
-  if now < port.stalled_until then begin
-    Sim.sleep (Time.diff port.stalled_until now);
-    stall_wait port
+(* Queue a frame on a wire, waking its job if it is parked. *)
+let enqueue w frame =
+  Ring.push w.queue frame;
+  if w.parked then begin
+    w.parked <- false;
+    Sim.wake_job w.job
   end
 
-(* Uplink process: serialize the frame onto the wire, then hand it to the
-   switch, which forwards to the destination port's egress queue. *)
-let rec uplink_loop t port =
-  let frame = Mailbox.recv port.uplink in
+(* The loop head: dequeue the next frame, or park when there is none. *)
+let take t w =
+  if Ring.is_empty w.queue then begin
+    w.parked <- true;
+    false
+  end
+  else begin
+    w.frame <- Ring.pop w.queue;
+    w.since <- Sim.now t.sim;
+    true
+  end
+
+(* Put the dequeued frame on the wire: [serialized] runs once it has
+   left. A stalled NIC neither serializes nor accepts frames until the
+   stall expires ([stalled] runs then, to check again); queued frames
+   survive and drain afterwards. *)
+let serialize t port w ~stalled ~serialized =
+  let now = Sim.now t.sim in
+  if now < port.stalled_until then begin
+    w.step <- stalled;
+    Sim.sleep_job w.job (Time.diff port.stalled_until now)
+  end
+  else begin
+    w.step <- serialized;
+    Sim.sleep_job w.job (transmit_span t w.frame.Packet.size_bytes)
+  end
+
+(* Switch forwarding: hand a frame that crossed [port]'s uplink to the
+   destination port's egress queue (or to every member of a multicast
+   group). *)
+let forward t port frame ~ts =
   let tr = Sim.trace t.sim in
   let traced = Trace.on tr ~cat:"net" in
-  let ts = Sim.now t.sim in
-  stall_wait port;
-  let span = transmit_span t frame.Packet.size_bytes in
-  Sim.sleep span;
-  port.bytes_out <- port.bytes_out + frame.Packet.size_bytes;
-  port.busy_ns <- port.busy_ns + span;
-  Bmcast_engine.Signal.Pulse.pulse port.tx_drain;
-  (* Propagation + switch forwarding. *)
-  Sim.sleep latency;
   if traced then
     Trace.complete tr ~cat:"net"
       ~args:
@@ -302,7 +346,7 @@ let rec uplink_loop t port =
             alloc_frame t ~src:frame.Packet.src ~dst:frame.Packet.dst
               ~size_bytes:frame.Packet.size_bytes frame.Packet.payload
           in
-          Mailbox.send m.egress copy
+          enqueue m.egress copy
         end
     done;
     release_frame t frame
@@ -326,35 +370,66 @@ let rec uplink_loop t port =
     (* A recycled frame's fields are dead past this point. The payload
        itself is not recycled with the record — its last holder drops it
        to the GC (the pool only manages the frame record). *)
-    if dropped then release_frame t frame else Mailbox.send dst.egress frame
-  end;
-  uplink_loop t port
+    if dropped then release_frame t frame else enqueue dst.egress frame
+  end
 
-(* Egress process: serialize on the destination port, then deliver. *)
-let rec egress_loop t port =
-  let frame = Mailbox.recv port.egress in
-  let tr = Sim.trace t.sim in
-  let traced = Trace.on tr ~cat:"net" in
-  let ts = Sim.now t.sim in
-  stall_wait port;
-  Sim.sleep (transmit_span t frame.Packet.size_bytes);
-  t.bytes_delivered <- t.bytes_delivered + frame.Packet.size_bytes;
-  if traced then
-    Trace.complete tr ~cat:"net"
-      ~args:
-        [ ("port", Trace.Str port.name);
-          ("bytes", Trace.Int frame.Packet.size_bytes) ]
-      "deliver" ~ts;
-  (* Deliver by direct call, not [Sim.spawn]: every rx handler in the
-     stack is non-blocking by contract (see fabric.mli), and a spawn per
-     delivered frame — closure, job record, handler frame, process-name
-     concatenation — was a top allocation site at fleet scale. The
-     handler runs in the egress process; an exception it raises fails
-     that process. *)
-  t.rx_keep <- false;
-  port.rx frame;
-  if not t.rx_keep then release_frame t frame;
-  egress_loop t port
+(* Uplink: wait out a stall, serialize the frame onto the wire, hold the
+   wire for the propagation delay, then forward through the switch. *)
+let rec uplink_step t port =
+  let w = port.uplink in
+  match w.step with
+  | Up_take ->
+    if take t w then
+      serialize t port w ~stalled:Up_stall ~serialized:Up_serialized
+  | Up_stall -> serialize t port w ~stalled:Up_stall ~serialized:Up_serialized
+  | Up_serialized ->
+    let span = transmit_span t w.frame.Packet.size_bytes in
+    port.bytes_out <- port.bytes_out + w.frame.Packet.size_bytes;
+    port.busy_ns <- port.busy_ns + span;
+    Pulse.pulse port.tx_drain;
+    w.step <- Up_propagated;
+    Sim.sleep_job w.job latency
+  | Up_propagated ->
+    forward t port w.frame ~ts:w.since;
+    w.step <- Up_take;
+    uplink_step t port
+
+(* Egress: wait out a stall, serialize on the destination port, then
+   deliver. The rx handler is called directly, not spawned: every rx
+   handler in the stack is non-blocking by contract (see fabric.mli),
+   and a spawn per delivered frame was a top allocation site at fleet
+   scale. An exception it raises fails the egress job. *)
+let rec egress_step t port =
+  let w = port.egress in
+  match w.step with
+  | Eg_take ->
+    if take t w then
+      serialize t port w ~stalled:Eg_stall ~serialized:Eg_serialized
+  | Eg_stall -> serialize t port w ~stalled:Eg_stall ~serialized:Eg_serialized
+  | Eg_serialized ->
+    let frame = w.frame in
+    t.bytes_delivered <- t.bytes_delivered + frame.Packet.size_bytes;
+    let tr = Sim.trace t.sim in
+    if Trace.on tr ~cat:"net" then
+      Trace.complete tr ~cat:"net"
+        ~args:
+          [ ("port", Trace.Str port.name);
+            ("bytes", Trace.Int frame.Packet.size_bytes) ]
+        "deliver" ~ts:w.since;
+    w.step <- Eg_take;
+    t.rx_keep <- false;
+    port.rx frame;
+    if not t.rx_keep then release_frame t frame;
+    egress_step t port
+
+(* A wire whose job runs [step t port] on the port attached as [id]. *)
+let wire t ~id ~name step first =
+  { queue = Ring.create ();
+    job = Sim.job t.sim ~name (fun () -> step t t.ports.(id));
+    step = first;
+    parked = false;
+    frame = dummy_frame;
+    since = Time.zero }
 
 let attach t ~name rx =
   let id = t.n_ports in
@@ -363,9 +438,9 @@ let attach t ~name rx =
       name;
       fab = t;
       rx;
-      uplink = Mailbox.create ();
-      egress = Mailbox.create ();
-      tx_drain = Bmcast_engine.Signal.Pulse.create ();
+      uplink = wire t ~id ~name:(name ^ "-uplink") uplink_step Up_take;
+      egress = wire t ~id ~name:(name ^ "-egress") egress_step Eg_take;
+      tx_drain = Pulse.create ();
       bytes_out = 0;
       busy_ns = 0;
       link_up = true;
@@ -380,10 +455,8 @@ let attach t ~name rx =
   end;
   t.ports.(id) <- port;
   t.n_ports <- id + 1;
-  Sim.spawn_at t.sim ~name:(name ^ "-uplink") (Sim.now t.sim) (fun () ->
-      uplink_loop t port);
-  Sim.spawn_at t.sim ~name:(name ^ "-egress") (Sim.now t.sim) (fun () ->
-      egress_loop t port);
+  Sim.start_job port.uplink.job;
+  Sim.start_job port.egress.job;
   port
 
 let port_id p = p.id
@@ -398,14 +471,13 @@ let send p ~dst ~size_bytes payload =
     invalid_arg
       (Printf.sprintf "Fabric.send: frame of %d bytes exceeds MTU %d"
          size_bytes t.mtu);
-  (* Non-blocking enqueue (try_send never suspends), so the enqueue is
-     safe to scope for the allocation profiler. *)
+  (* Non-blocking enqueue (a wake-up only queues the uplink job), so the
+     enqueue is safe to scope for the allocation profiler. *)
   let prof = Sim.profile t.sim in
   let profiled = Bmcast_obs.Profile.enabled prof in
   if profiled then Bmcast_obs.Profile.enter prof "net.send";
   t.frames_sent <- t.frames_sent + 1;
-  let frame = alloc_frame t ~src:p.id ~dst ~size_bytes payload in
-  ignore (Mailbox.try_send p.uplink frame : bool);
+  enqueue p.uplink (alloc_frame t ~src:p.id ~dst ~size_bytes payload);
   if profiled then Bmcast_obs.Profile.exit prof "net.send"
 
 (* Like [send], but models a bounded socket buffer: blocks the calling
@@ -413,8 +485,8 @@ let send p ~dst ~size_bytes payload =
 let socket_frames = 8
 
 let send_wait p ~dst ~size_bytes payload =
-  while Mailbox.length p.uplink >= socket_frames do
-    Bmcast_engine.Signal.Pulse.wait p.tx_drain
+  while Ring.length p.uplink.queue >= socket_frames do
+    Pulse.wait p.tx_drain
   done;
   send p ~dst ~size_bytes payload
 

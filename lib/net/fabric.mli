@@ -48,9 +48,13 @@ val create :
 
 val attach : t -> name:string -> (Packet.t -> unit) -> port
 (** Attach an endpoint. The callback receives delivered frames, called
-    directly from the fabric's per-port egress process — it must not
-    block (no [Sim.sleep]/[recv]; spawn a process for deferred work),
-    and an exception it raises fails that process.
+    directly from the port's egress job (a {!Bmcast_engine.Sim.job}
+    named [name ^ "-egress"]; the uplink's is [name ^ "-uplink"]). It
+    runs outside any process, so it must not block or perform any other
+    effect (no [Sim.sleep]/[recv]/[spawn]; start a process with
+    [Sim.spawn_at] or hand the frame to one through a mailbox for
+    deferred work). An exception it raises, a blocking call included,
+    makes [Sim.run] raise [Process_failure (name ^ "-egress", e)].
 
     {b Frame ownership.} Frame records come from a fabric-keyed pool.
     When the callback returns, the fabric recycles the frame — its
