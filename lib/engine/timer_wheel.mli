@@ -1,7 +1,13 @@
-(** Hierarchical timer wheel: the O(1) hot-path event scheduler.
+(** Hierarchical timer wheel: an O(1) event scheduler, no longer on the
+    simulation path.
 
-    A drop-in replacement for the binary {!Heap} on the simulation hot
-    path. Events live in a hierarchy of 256-slot wheels (8 bits of the
+    The engine ran on this wheel until it moved to {!Heap}, which is
+    faster at the queue depths the simulator reaches (DESIGN §9). The
+    wheel stays only because the benchmark's [engine.wheel_churn_ns]
+    probe and [bench --engine]'s gated churn row measure it; it goes
+    when those move to the heap.
+
+    Events live in a hierarchy of 256-slot wheels (8 bits of the
     timestamp per level); scheduling, cancelling and firing are O(1)
     amortized, with no allocation per event once the preallocated pool
     has warmed up (event records are recycled through a free list).
@@ -20,7 +26,7 @@
     nondecreasing time order, and events with equal timestamps pop in
     insertion (FIFO) order — across tiers, cascades and promotions.
     [test/engine] pins this with a randomized equivalence suite against
-    the reference heap. *)
+    the engine's heap. *)
 
 type 'a t
 
