@@ -14,6 +14,7 @@ type t = {
   ahci : Ahci.t;
   raw : Mmio.handler;
   dummy_prdt : Dma.prd list;  (* one sector of a VMM-owned buffer *)
+  vmm_table : int;  (* slot 31's command table, rewritten per command *)
   (* guest-view emulation *)
   mutable ghost_ci : int;  (* bits the guest believes are on the device *)
   mutable guest_ie : int;
@@ -44,15 +45,16 @@ let guest t =
     withhold = (fun slot -> t.ghost_ci <- t.ghost_ci lor (1 lsl slot));
     prds = (fun slot -> (table t slot).Ahci.prdt) }
 
-(* VMM commands run in slot 31, completion polled on PxCI. *)
+(* VMM commands run in slot 31, completion polled on PxCI. The slot is
+   set on every command because the guest may have moved its command
+   list. *)
 let issue t op ~lba ~count buf =
   let op = if op = Mediator.Write then Ahci.Fis.Write else Ahci.Fis.Read in
-  let table =
-    Ahci.alloc_cmd_table t.ahci
-      { Ahci.Fis.op; lba; count }
-      [ { Dma.buf_addr = buf.Dma.addr; sectors = count } ]
-  in
-  Ahci.set_slot t.ahci ~clb:(current_clb t) ~slot:vmm_slot ~table_addr:table;
+  let ct = Ahci.cmd_table t.ahci ~addr:t.vmm_table in
+  ct.Ahci.fis <- { Ahci.Fis.op; lba; count };
+  ct.Ahci.prdt <- [ { Dma.buf_addr = buf.Dma.addr; sectors = count } ];
+  Ahci.set_slot t.ahci ~clb:(current_clb t) ~slot:vmm_slot
+    ~table_addr:t.vmm_table;
   t.raw.Mmio.write Ahci.Regs.px_ci vmm_slot_bit;
   count
 
@@ -126,10 +128,15 @@ let on_read t m ~next off =
 
 let attach machine ahci ~aoe ~bitmap ~params =
   let dummy = Dma.alloc machine.Machine.dma ~sectors:1 in
+  let dummy_prdt = [ { Dma.buf_addr = dummy.Dma.addr; sectors = 1 } ] in
   let t =
     { ahci;
       raw = Ahci.raw ahci;
-      dummy_prdt = [ { Dma.buf_addr = dummy.Dma.addr; sectors = 1 } ];
+      dummy_prdt;
+      vmm_table =
+        Ahci.alloc_cmd_table ahci
+          { Ahci.Fis.op = Ahci.Fis.Read; lba = 0; count = 1 }
+          dummy_prdt;
       ghost_ci = 0;
       guest_ie = 0 }
   in

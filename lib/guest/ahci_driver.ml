@@ -11,7 +11,7 @@ module Machine = Bmcast_platform.Machine
 type t = {
   machine : Machine.t;
   ahci : Ahci.t;
-  clb : int;
+  table : Ahci.cmd_table;  (* slot 0's, rewritten for every command *)
   lock : Semaphore.t;  (* one command in flight (queue depth 1) *)
   mutable completion : Signal.Latch.t option;
 }
@@ -40,8 +40,18 @@ let attach machine =
     | Machine.Ide _ -> invalid_arg "Ahci_driver.attach: machine has IDE disk"
   in
   let clb = Ahci.alloc_cmd_list ahci in
+  let table_addr =
+    Ahci.alloc_cmd_table ahci
+      { Ahci.Fis.op = Ahci.Fis.Read; lba = 0; count = 0 }
+      []
+  in
+  Ahci.set_slot ahci ~clb ~slot:0 ~table_addr;
   let t =
-    { machine; ahci; clb; lock = Semaphore.create 1; completion = None }
+    { machine;
+      ahci;
+      table = Ahci.cmd_table ahci ~addr:table_addr;
+      lock = Semaphore.create 1;
+      completion = None }
   in
   Irq.register machine.Machine.irq ~vec:Machine.disk_irq_vec (isr t);
   wreg t Ahci.Regs.px_clb clb;
@@ -51,11 +61,9 @@ let attach machine =
 
 let submit t fis buf =
   Semaphore.with_permit t.lock (fun () ->
-      let table =
-        Ahci.alloc_cmd_table t.ahci fis
-          [ { Ahci.buf_addr = buf.Dma.addr; sectors = Array.length buf.Dma.data } ]
-      in
-      Ahci.set_slot t.ahci ~clb:t.clb ~slot:0 ~table_addr:table;
+      t.table.Ahci.fis <- fis;
+      t.table.Ahci.prdt <-
+        [ { Ahci.buf_addr = buf.Dma.addr; sectors = Array.length buf.Dma.data } ];
       let latch = Signal.Latch.create () in
       t.completion <- Some latch;
       wreg t Ahci.Regs.px_ci 1;
@@ -64,9 +72,9 @@ let submit t fis buf =
 let read t ~lba ~count =
   let buf = Dma.alloc t.machine.Machine.dma ~sectors:count in
   submit t { Ahci.Fis.op = Ahci.Fis.Read; lba; count } buf;
-  let data = Array.copy buf.Dma.data in
+  (* Once freed, the buffer is unreachable: its array is the result. *)
   Dma.free t.machine.Machine.dma buf;
-  data
+  buf.Dma.data
 
 let write t ~lba ~count data =
   if Array.length data <> count then

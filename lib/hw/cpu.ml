@@ -11,6 +11,15 @@ type exit_reason =
   | Init_sipi
   | Other
 
+let exit_index = function
+  | Pio -> 0
+  | Mmio -> 1
+  | Cpuid -> 2
+  | Preempt_timer -> 3
+  | Control_reg -> 4
+  | Init_sipi -> 5
+  | Other -> 6
+
 type core = {
   sim : Sim.t;
   mutable unavailable_until : Time.t;
@@ -23,7 +32,7 @@ type core = {
 type t = {
   sim : Sim.t;
   cores_arr : core array;
-  exit_counts : (exit_reason, int) Hashtbl.t;
+  exit_counts : int array;  (* by [exit_index] *)
   mutable exit_time : Time.span;
 }
 
@@ -39,7 +48,7 @@ let create sim ~cores =
   in
   { sim;
     cores_arr = Array.init cores mk;
-    exit_counts = Hashtbl.create 8;
+    exit_counts = Array.make 7 0;
     exit_time = 0 }
 
 let num_cores t = Array.length t.cores_arr
@@ -105,15 +114,14 @@ let run (c : core) span =
 let stall_time (c : core) = c.stall_time
 
 let record_exit t reason ~cost =
-  let n = Option.value (Hashtbl.find_opt t.exit_counts reason) ~default:0 in
-  Hashtbl.replace t.exit_counts reason (n + 1);
+  let i = exit_index reason in
+  t.exit_counts.(i) <- t.exit_counts.(i) + 1;
   t.exit_time <- t.exit_time + cost
 
-let exits t reason = Option.value (Hashtbl.find_opt t.exit_counts reason) ~default:0
-
-let total_exits t = Hashtbl.fold (fun _ n acc -> acc + n) t.exit_counts 0
+let exits t reason = t.exit_counts.(exit_index reason)
+let total_exits t = Array.fold_left ( + ) 0 t.exit_counts
 let exit_time t = t.exit_time
 
 let reset_exit_counters t =
-  Hashtbl.reset t.exit_counts;
+  Array.fill t.exit_counts 0 (Array.length t.exit_counts) 0;
   t.exit_time <- 0

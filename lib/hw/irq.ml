@@ -3,29 +3,51 @@ module Time = Bmcast_engine.Time
 
 let delivery_latency = Time.us 2
 
+(* The ISR's process name is built once, at registration. *)
+type handler = { name : string; isr : unit -> unit }
+
+(* Per-vector state, grown to the highest vector used. *)
 type t = {
   sim : Sim.t;
-  handlers : (int, unit -> unit) Hashtbl.t;
-  counts : (int, int) Hashtbl.t;
+  mutable handlers : handler option array;
+  mutable counts : int array;
   mutable spurious : int;
 }
 
-let create sim =
-  { sim; handlers = Hashtbl.create 16; counts = Hashtbl.create 16; spurious = 0 }
+let create sim = { sim; handlers = [||]; counts = [||]; spurious = 0 }
 
-let register t ~vec isr = Hashtbl.replace t.handlers vec isr
-let unregister t ~vec = Hashtbl.remove t.handlers vec
+let check_vec vec =
+  if vec < 0 then invalid_arg (Printf.sprintf "Irq: negative vector %d" vec)
+
+let grow t vec =
+  let n = Array.length t.counts in
+  if vec >= n then begin
+    t.handlers <- Array.append t.handlers (Array.make (vec + 1 - n) None);
+    t.counts <- Array.append t.counts (Array.make (vec + 1 - n) 0)
+  end
+
+let register t ~vec isr =
+  check_vec vec;
+  grow t vec;
+  t.handlers.(vec) <- Some { name = Printf.sprintf "isr-vec%d" vec; isr }
+
+let unregister t ~vec =
+  check_vec vec;
+  if vec < Array.length t.handlers then t.handlers.(vec) <- None
 
 let raise_irq t ~vec =
-  let n = Option.value (Hashtbl.find_opt t.counts vec) ~default:0 in
-  Hashtbl.replace t.counts vec (n + 1);
-  match Hashtbl.find_opt t.handlers vec with
-  | Some isr ->
-    Sim.spawn_at t.sim
-      ~name:(Printf.sprintf "isr-vec%d" vec)
+  check_vec vec;
+  grow t vec;
+  t.counts.(vec) <- t.counts.(vec) + 1;
+  match t.handlers.(vec) with
+  | Some h ->
+    Sim.spawn_at t.sim ~name:h.name
       (Time.add (Sim.now t.sim) delivery_latency)
-      isr
+      h.isr
   | None -> t.spurious <- t.spurious + 1
 
-let delivered t ~vec = Option.value (Hashtbl.find_opt t.counts vec) ~default:0
+let delivered t ~vec =
+  check_vec vec;
+  if vec < Array.length t.counts then t.counts.(vec) else 0
+
 let spurious t = t.spurious

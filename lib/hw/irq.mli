@@ -10,9 +10,14 @@ type t
 
 val create : Bmcast_engine.Sim.t -> t
 
+(** Vectors are non-negative: every function below raises
+    [Invalid_argument] on a negative one. Per-vector state is kept in
+    arrays as long as the highest vector registered or raised. *)
+
 val register : t -> vec:int -> (unit -> unit) -> unit
 (** Install the ISR for a vector (replacing any previous one). The ISR
-    runs as a simulation process. *)
+    runs as a simulation process named [isr-vec<N>]; the name is built
+    here, once, not on every delivery. *)
 
 val unregister : t -> vec:int -> unit
 
@@ -21,7 +26,7 @@ val raise_irq : t -> vec:int -> unit
     latency. Unhandled vectors are counted as spurious. *)
 
 val delivered : t -> vec:int -> int
-(** Number of deliveries so far on a vector. *)
+(** Number of deliveries so far on a vector (0 for one never raised). *)
 
 val spurious : t -> int
 (** Deliveries that found no ISR registered. *)

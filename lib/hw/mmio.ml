@@ -47,12 +47,14 @@ let unmap t ~base =
   ignore (find_by_base t base : region);
   t.regions <- List.filter (fun r -> r.base <> base) t.regions
 
+(* Closed over nothing, so a lookup allocates no closure. *)
 let find_region t addr =
-  match
-    List.find_opt (fun r -> addr >= r.base && addr < r.base + r.size) t.regions
-  with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Mmio: unmapped address 0x%x" addr)
+  let rec go addr = function
+    | r :: rest ->
+      if addr >= r.base && addr < r.base + r.size then r else go addr rest
+    | [] -> invalid_arg (Printf.sprintf "Mmio: unmapped address 0x%x" addr)
+  in
+  go addr t.regions
 
 let interpose t ~base ix =
   let r = find_by_base t base in

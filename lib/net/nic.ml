@@ -16,16 +16,18 @@ end
 
 type tx_desc = { dst : int; size_bytes : int; payload : Packet.payload }
 
+type ring = Tx of tx_desc option array | Rx of Packet.t option array
+
 type t = {
   sim : Sim.t;
   irq : Irq.t;
   irq_vec : int;
   mutable fabric_port : Fabric.port option;
   mutable fabric_ : Fabric.t option;
-  (* descriptor rings, keyed by address (guest memory) *)
-  mutable next_addr : int;
-  tx_rings : (int, tx_desc option array) Hashtbl.t;
-  rx_rings : (int, Packet.t option array) Hashtbl.t;
+  (* descriptor rings in guest memory: the one at
+     [ring_base + i * 0x1000] is [rings.(i)] *)
+  ring_base : int;
+  mutable rings : ring array;
   default_tx : int;
   default_rx : int;
   (* registers *)
@@ -44,30 +46,34 @@ let rx_dropped t = t.rx_dropped
 let default_tx_ring t = t.default_tx
 let default_rx_ring t = t.default_rx
 
-let fresh_addr t =
-  let a = t.next_addr in
-  t.next_addr <- a + 0x1000;
-  a
+(* Rings are allocated when a driver or mediator attaches, a few per
+   NIC, so the array grows by one. *)
+let add_ring t r =
+  let addr = t.ring_base + (Array.length t.rings * 0x1000) in
+  t.rings <- Array.append t.rings [| r |];
+  addr
 
-let alloc_tx_ring t =
-  let a = fresh_addr t in
-  Hashtbl.replace t.tx_rings a (Array.make ring_size None);
-  a
+(* The ring at [addr]; [Not_found] if none starts there. *)
+let ring t addr =
+  let off = addr - t.ring_base in
+  if off < 0 || off land 0xFFF <> 0 || off lsr 12 >= Array.length t.rings
+  then raise Not_found;
+  t.rings.(off lsr 12)
 
-let alloc_rx_ring t =
-  let a = fresh_addr t in
-  Hashtbl.replace t.rx_rings a (Array.make ring_size None);
-  a
+let alloc_tx_ring t = add_ring t (Tx (Array.make ring_size None))
+let alloc_rx_ring t = add_ring t (Rx (Array.make ring_size None))
 
 let tx_ring t addr =
-  match Hashtbl.find_opt t.tx_rings addr with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Nic: no TX ring at 0x%x" addr)
+  match ring t addr with
+  | Tx r -> r
+  | Rx _ | (exception Not_found) ->
+    invalid_arg (Printf.sprintf "Nic: no TX ring at 0x%x" addr)
 
 let rx_ring t addr =
-  match Hashtbl.find_opt t.rx_rings addr with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Nic: no RX ring at 0x%x" addr)
+  match ring t addr with
+  | Rx r -> r
+  | Tx _ | (exception Not_found) ->
+    invalid_arg (Printf.sprintf "Nic: no RX ring at 0x%x" addr)
 
 let check_idx idx =
   if idx < 0 || idx >= ring_size then invalid_arg "Nic: ring index out of range"
@@ -163,9 +169,8 @@ let create sim ~mmio ~base ~fabric ~name ~irq ~irq_vec =
       irq_vec;
       fabric_port = None;
       fabric_ = None;
-      next_addr = 0xA000_0000 + (base land 0xFFFF);
-      tx_rings = Hashtbl.create 4;
-      rx_rings = Hashtbl.create 4;
+      ring_base = 0xA000_0000 + (base land 0xFFFF);
+      rings = [||];
       default_tx = 0;
       default_rx = 0;
       tdba = 0;

@@ -25,6 +25,13 @@ end
 
 let tfd_bsy = 0x80
 
+(* A command list maps each slot to a table address, [empty_slot] when
+   the slot points nowhere. *)
+type structure = Cmd_list of int array | Cmd_table of cmd_table
+
+let struct_base = 0x8000_0000
+let empty_slot = -1
+
 (* Per-command controller processing overhead (command fetch, FIS
    handling); the disk model charges the rest. *)
 let command_overhead = Time.us 20
@@ -41,10 +48,9 @@ type t = {
   mutable ie : int;
   mutable cmd : int;
   mutable ci : int;
-  (* guest-memory structures *)
-  mutable next_addr : int;
-  cmd_lists : (int, int option array) Hashtbl.t;  (* addr -> slot table addrs *)
-  cmd_tables : (int, cmd_table) Hashtbl.t;
+  (* guest-memory structures: the one at [struct_base + i * 0x1000] is
+     [structs.(i)] *)
+  mutable structs : structure array;
   (* service *)
   work : int Mailbox.t;  (* slots awaiting service, FIFO *)
   mutable serving : bool;
@@ -57,43 +63,49 @@ let irqs_raised t = t.irqs_raised
 
 (* --- guest-memory structures --- *)
 
-let fresh_addr t =
-  let a = t.next_addr in
-  t.next_addr <- a + 0x1000;
-  a
-
-let alloc_cmd_list t =
-  let addr = fresh_addr t in
-  Hashtbl.replace t.cmd_lists addr (Array.make 32 None);
+(* Structures are allocated when a driver or mediator attaches, a few
+   per controller, so the array grows by one. *)
+let add_structure t s =
+  let addr = struct_base + (Array.length t.structs * 0x1000) in
+  t.structs <- Array.append t.structs [| s |];
   addr
+
+(* The structure at [addr]; [Not_found] if none starts there. *)
+let structure t addr =
+  let off = addr - struct_base in
+  if off < 0 || off land 0xFFF <> 0 || off lsr 12 >= Array.length t.structs
+  then raise Not_found;
+  t.structs.(off lsr 12)
+
+let alloc_cmd_list t = add_structure t (Cmd_list (Array.make 32 empty_slot))
 
 let find_cmd_list t addr =
-  match Hashtbl.find_opt t.cmd_lists addr with
-  | Some l -> l
-  | None -> invalid_arg (Printf.sprintf "Ahci: no command list at 0x%x" addr)
+  match structure t addr with
+  | Cmd_list l -> l
+  | Cmd_table _ | (exception Not_found) ->
+    invalid_arg (Printf.sprintf "Ahci: no command list at 0x%x" addr)
 
-let alloc_cmd_table t fis prdt =
-  let addr = fresh_addr t in
-  Hashtbl.replace t.cmd_tables addr { fis; prdt };
-  addr
+let alloc_cmd_table t fis prdt = add_structure t (Cmd_table { fis; prdt })
 
 let cmd_table t ~addr =
-  match Hashtbl.find_opt t.cmd_tables addr with
-  | Some ct -> ct
-  | None -> invalid_arg (Printf.sprintf "Ahci: no command table at 0x%x" addr)
+  match structure t addr with
+  | Cmd_table ct -> ct
+  | Cmd_list _ | (exception Not_found) ->
+    invalid_arg (Printf.sprintf "Ahci: no command table at 0x%x" addr)
 
 let check_slot slot =
   if slot < 0 || slot > 31 then invalid_arg "Ahci: slot out of range"
 
 let set_slot t ~clb ~slot ~table_addr =
   check_slot slot;
-  (find_cmd_list t clb).(slot) <- Some table_addr
+  (find_cmd_list t clb).(slot) <- table_addr
 
 let slot_table_addr t ~clb ~slot =
   check_slot slot;
-  match (find_cmd_list t clb).(slot) with
-  | Some a -> a
-  | None -> invalid_arg (Printf.sprintf "Ahci: slot %d is empty" slot)
+  let a = (find_cmd_list t clb).(slot) in
+  if a = empty_slot then
+    invalid_arg (Printf.sprintf "Ahci: slot %d is empty" slot);
+  a
 
 (* --- command execution --- *)
 
@@ -201,9 +213,7 @@ let create sim ~mmio ~base ~dma ~disk ~irq ~irq_vec =
       ie = 0;
       cmd = 0;
       ci = 0;
-      next_addr = 0x8000_0000;
-      cmd_lists = Hashtbl.create 4;
-      cmd_tables = Hashtbl.create 64;
+      structs = [||];
       work = Mailbox.create ();
       serving = false;
       commands_processed = 0;

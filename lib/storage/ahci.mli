@@ -60,17 +60,25 @@ val raw : t -> Bmcast_hw.Mmio.handler
 (** {2 Guest-memory command structures}
 
     Owned here because both the guest driver and a mediator dereference
-    them by address. *)
+    them by address. Lists and tables are found by their index from a
+    fixed base, never freed, and live as long as the controller. *)
 
 val alloc_cmd_list : t -> int
 (** Allocate a 32-slot command list, returning its address (the value a
     driver writes to PxCLB). *)
 
 val alloc_cmd_table : t -> Fis.t -> prd list -> int
-(** Build a command table in guest memory; returns its address. *)
+(** Build a command table in guest memory; returns its address. The
+    table lives as long as the controller, so a driver allocates one per
+    slot it uses and rewrites its [fis] and [prdt] for each command, as
+    a real AHCI driver does. *)
 
 val cmd_table : t -> addr:int -> cmd_table
-(** Dereference a command table (driver or mediator). *)
+(** Dereference a command table (driver or mediator).
+
+    [cmd_table], {!set_slot} and {!slot_table_addr} raise
+    [Invalid_argument] when the address is not that of a table (or, for
+    [clb], of a command list) this controller allocated. *)
 
 val set_slot : t -> clb:int -> slot:int -> table_addr:int -> unit
 (** Point command-list slot [slot] at a table. *)

@@ -2,9 +2,18 @@ type buf = { addr : int; data : Content.t array }
 
 type prd = { buf_addr : int; sectors : int }
 
-type t = { mutable next_addr : int; bufs : (int, buf) Hashtbl.t }
+(* Buffers are looked up on every DMA transfer. Addresses are
+   sector-aligned, so the sector number is a collision-free hash. *)
+module Bufs = Hashtbl.Make (struct
+  type t = int
 
-let create () = { next_addr = 0x1000_0000; bufs = Hashtbl.create 64 }
+  let equal = Int.equal
+  let hash addr = addr lsr 9
+end)
+
+type t = { mutable next_addr : int; bufs : buf Bufs.t }
+
+let create () = { next_addr = 0x1000_0000; bufs = Bufs.create 64 }
 
 let alloc t ~sectors =
   if sectors <= 0 then invalid_arg "Dma.alloc: sectors must be positive";
@@ -12,15 +21,16 @@ let alloc t ~sectors =
   (* Keep addresses sector-aligned and non-overlapping. *)
   t.next_addr <- t.next_addr + (sectors * 512);
   let buf = { addr; data = Array.make sectors Content.Zero } in
-  Hashtbl.replace t.bufs addr buf;
+  Bufs.replace t.bufs addr buf;
   buf
 
 let find t ~addr =
-  match Hashtbl.find_opt t.bufs addr with
-  | Some b -> b
-  | None -> invalid_arg (Printf.sprintf "Dma.find: unknown buffer 0x%x" addr)
+  match Bufs.find t.bufs addr with
+  | b -> b
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Dma.find: unknown buffer 0x%x" addr)
 
-let free t buf = Hashtbl.remove t.bufs buf.addr
+let free t buf = Bufs.remove t.bufs buf.addr
 
 let write buf ~off src =
   if off < 0 || off + Array.length src > Array.length buf.data then

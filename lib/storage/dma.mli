@@ -20,12 +20,15 @@ type prd = { buf_addr : int; sectors : int }
 val create : unit -> t
 
 val alloc : t -> sectors:int -> buf
-(** Fresh zeroed buffer at a unique address. *)
+(** Fresh zeroed buffer at a unique, sector-aligned address. Addresses
+    are never reused. *)
 
 val find : t -> addr:int -> buf
-(** Raises [Invalid_argument] for an unknown address. *)
+(** Raises [Invalid_argument] for an unknown or freed address. *)
 
 val free : t -> buf -> unit
+(** Forget the buffer: {!find} no longer reaches it, so its owner may
+    keep [data] as its own array. *)
 
 val write : buf -> off:int -> Content.t array -> unit
 (** Copy sectors into the buffer at sector offset [off].
