@@ -20,6 +20,7 @@ type t = {
   raw_bm : Pio.handler;
   raw_ctrl : Pio.handler;
   dummy_prdt : int;
+  vmm_prdt : int;  (* the VMM commands' PRD table, rewritten per command *)
   (* shadow task file (I/O interpretation) *)
   mutable sh_seccount : int;
   mutable sh_lba0 : int;
@@ -75,11 +76,11 @@ let issue t op ~lba ~count buf =
     if op = Mediator.Write then (Ide.cmd_write_dma, 0x00)
     else (Ide.cmd_read_dma, 0x08)
   in
-  let prdt_addr =
-    Ide.register_prdt t.ide [ { Dma.buf_addr = buf.Dma.addr; sectors = count } ]
-  in
+  Ide.set_prdt t.ide ~addr:t.vmm_prdt
+    [ { Dma.buf_addr = buf.Dma.addr; sectors = count } ];
   let count = count land 0xFF in
-  program_device t { cmd; lba; count; prdt_addr; bm_cmd = 0x01 lor dir };
+  program_device t
+    { cmd; lba; count; prdt_addr = t.vmm_prdt; bm_cmd = 0x01 lor dir };
   count
 
 (* Completion is polled on the bus-master IRQ bit. *)
@@ -199,6 +200,7 @@ let attach machine ide ~aoe ~bitmap ~params =
       raw_ctrl = Ide.raw_ctrl ide;
       dummy_prdt =
         Ide.register_prdt ide [ { Dma.buf_addr = dummy.Dma.addr; sectors = 1 } ];
+      vmm_prdt = Ide.register_prdt ide [];
       sh_seccount = 0;
       sh_lba0 = 0;
       sh_lba1 = 0;

@@ -11,6 +11,7 @@ module Machine = Bmcast_platform.Machine
 type t = {
   machine : Machine.t;
   ide : Ide.t;
+  prdt_addr : int;  (* the PRD table, rewritten for every command *)
   lock : Semaphore.t;
   mutable completion : Signal.Latch.t option;
 }
@@ -38,7 +39,11 @@ let attach machine =
     | Machine.Ahci _ -> invalid_arg "Ide_driver.attach: machine has AHCI disk"
   in
   let t =
-    { machine; ide; lock = Semaphore.create 1; completion = None }
+    { machine;
+      ide;
+      prdt_addr = Ide.register_prdt ide [];
+      lock = Semaphore.create 1;
+      completion = None }
   in
   Irq.register machine.Machine.irq ~vec:Machine.disk_irq_vec (isr t);
   t
@@ -46,11 +51,9 @@ let attach machine =
 let one_command t op ~lba ~count buf =
   let latch = Signal.Latch.create () in
   t.completion <- Some latch;
-  let prdt_addr =
-    Ide.register_prdt t.ide
-      [ { Ide.buf_addr = buf.Dma.addr; sectors = Array.length buf.Dma.data } ]
-  in
-  outp t (Machine.ide_bm_base + Ide.Bm.prdt) prdt_addr;
+  Ide.set_prdt t.ide ~addr:t.prdt_addr
+    [ { Ide.buf_addr = buf.Dma.addr; sectors = Array.length buf.Dma.data } ];
+  outp t (Machine.ide_bm_base + Ide.Bm.prdt) t.prdt_addr;
   outp t (Machine.ide_cmd_base + Ide.Regs.seccount) (count land 0xFF);
   outp t (Machine.ide_cmd_base + Ide.Regs.lba0) (lba land 0xFF);
   outp t (Machine.ide_cmd_base + Ide.Regs.lba1) ((lba lsr 8) land 0xFF);

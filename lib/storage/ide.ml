@@ -54,9 +54,9 @@ type t = {
   mutable bm_prdt : int;
   (* control *)
   mutable ctrl : int;
-  (* PRD tables *)
-  mutable next_addr : int;
-  prdts : (int, prd list) Hashtbl.t;
+  (* PRD tables in guest memory: the one at [prdt_base + i * 0x100] is
+     [prdts.(i)] *)
+  mutable prdts : prd list array;
   (* pending command armed by a command-register write, executed when the
      bus master is started *)
   mutable armed : int option;
@@ -65,16 +65,23 @@ type t = {
 
 let commands_processed t = t.commands_processed
 
+let prdt_base = 0x9000_0000
+
+(* Tables are registered when a driver or mediator attaches, a few per
+   controller, so the array grows by one. *)
 let register_prdt t prds =
-  let addr = t.next_addr in
-  t.next_addr <- addr + 0x100;
-  Hashtbl.replace t.prdts addr prds;
+  let addr = prdt_base + (Array.length t.prdts * 0x100) in
+  t.prdts <- Array.append t.prdts [| prds |];
   addr
 
-let prdt t ~addr =
-  match Hashtbl.find_opt t.prdts addr with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Ide: no PRD table at 0x%x" addr)
+let prdt_index t addr =
+  let off = addr - prdt_base in
+  if off < 0 || off land 0xFF <> 0 || off lsr 8 >= Array.length t.prdts then
+    invalid_arg (Printf.sprintf "Ide: no PRD table at 0x%x" addr);
+  off lsr 8
+
+let prdt t ~addr = t.prdts.(prdt_index t addr)
+let set_prdt t ~addr prds = t.prdts.(prdt_index t addr) <- prds
 
 let lba_of_taskfile t =
   (* 28-bit LBA: low nibble of the device register holds bits 24-27. *)
@@ -222,8 +229,7 @@ let create sim ~pio ~cmd_base ~bm_base ~ctrl_base ~dma ~disk ~irq ~irq_vec =
       bm_status = 0;
       bm_prdt = 0;
       ctrl = 0;
-      next_addr = 0x9000_0000;
-      prdts = Hashtbl.create 16;
+      prdts = [||];
       armed = None;
       commands_processed = 0 }
   in

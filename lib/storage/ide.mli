@@ -67,8 +67,16 @@ val raw_ctrl : t -> Bmcast_hw.Pio.handler
 
 val register_prdt : t -> prd list -> int
 (** Store a PRD table in guest memory; returns its address (the value
-    written to the bus-master PRDT register). *)
+    written to the bus-master PRDT register). Tables live as long as the
+    controller, so a driver registers one and rewrites it with
+    {!set_prdt} for each command. *)
 
 val prdt : t -> addr:int -> prd list
+
+val set_prdt : t -> addr:int -> prd list -> unit
+(** Rewrite a registered table in place.
+
+    [prdt] and [set_prdt] raise [Invalid_argument] for an address
+    {!register_prdt} did not return. *)
 
 val commands_processed : t -> int
