@@ -108,9 +108,13 @@ let read_errors t = t.read_errors
    service time — the head did travel). *)
 let take_read_fault t ~lba ~count =
   let hit =
-    List.find_opt
-      (fun f -> f.f_remaining > 0 && f.f_lba < lba + count && lba < f.f_lba + f.f_count)
-      t.read_faults
+    match t.read_faults with
+    | [] -> None
+    | faults ->
+      List.find_opt
+        (fun f ->
+          f.f_remaining > 0 && f.f_lba < lba + count && lba < f.f_lba + f.f_count)
+        faults
   in
   match hit with
   | None -> None
@@ -165,30 +169,37 @@ let peek t ~lba ~count =
   peek_into t ~lba ~count out;
   out
 
+(* Sector [i] of a write continues the run holding sector [i - 1]: the
+   same content, or the next image sector. *)
+let continues_run data i =
+  match (data.(i - 1), data.(i)) with
+  | Content.Zero, Content.Zero -> true
+  | Content.Image a, Content.Image b -> b = a + 1
+  | Content.Data a, Content.Data b -> a = b
+  | Content.Blob a, Content.Blob b -> String.equal a b
+  | (Content.Zero | Image _ | Data _ | Blob _), _ -> false
+
 (* Split written data into uniform runs so extents stay compact. *)
 let poke t ~lba ~count data =
   check_span t ~lba ~count;
   if Array.length data <> count then
     invalid_arg "Disk.poke: data length mismatch";
-  let run_of i =
-    match data.(i) with
-    | Content.Zero -> Zeros
-    | Content.Image img_lba -> Img (img_lba - (lba + i))
-    | Content.Data tag -> Tag tag
-    | Content.Blob s -> Blob1 s
-  in
-  let rec go start =
-    if start < count then begin
-      let v = run_of start in
-      let finish = ref (start + 1) in
-      while !finish < count && run_of !finish = v do
-        incr finish
-      done;
-      Extent_map.set t.extents ~lba:(lba + start) ~count:(!finish - start) v;
-      go !finish
-    end
-  in
-  go 0
+  let start = ref 0 in
+  while !start < count do
+    let finish = ref (!start + 1) in
+    while !finish < count && continues_run data !finish do
+      incr finish
+    done;
+    let v =
+      match data.(!start) with
+      | Content.Zero -> Zeros
+      | Content.Image img_lba -> Img (img_lba - (lba + !start))
+      | Content.Data tag -> Tag tag
+      | Content.Blob s -> Blob1 s
+    in
+    Extent_map.set t.extents ~lba:(lba + !start) ~count:(!finish - !start) v;
+    start := !finish
+  done
 
 let sector t lba = (peek t ~lba ~count:1).(0)
 
