@@ -413,6 +413,79 @@ let test_devirt_zero_overhead () =
   check_int "zero traps after devirt" 0 !traps_after;
   check_int "zero exits after devirt" 0 !exits_after
 
+(* A real AHCI driver rewrites one command table per slot: after a
+   whole deployment, the guest driver's slot 0 and the mediator's slot
+   31 still point at the tables they were first given. *)
+let test_ahci_command_tables_reused () =
+  let module Ahci = Bmcast_storage.Ahci in
+  let rig = make_rig () in
+  let ahci =
+    match rig.machine.Machine.controller with
+    | Machine.Ahci a -> a
+    | Machine.Ide _ -> assert false
+  in
+  let slot s =
+    let clb = (Ahci.raw ahci).Mmio.read Ahci.Regs.px_clb in
+    Ahci.slot_table_addr ahci ~clb ~slot:s
+  in
+  let first = ref None and last = ref None in
+  Sim.spawn_at rig.sim ~name:"scenario" Time.zero (fun () ->
+      let vmm =
+        Vmm.boot rig.machine ~params:rig.params
+          ~server_port:(Vblade.port_id rig.vblade) ()
+      in
+      let blk = Block_io.attach rig.machine in
+      (* A cold read: its write-back is one of the mediator's first
+         commands. *)
+      ignore (Block_io.read blk ~lba:0 ~count:8 : Content.t array);
+      Sim.sleep (Time.ms 200);
+      first := Some (slot 0, slot 31);
+      Block_io.write blk ~lba:5 ~count:4 (Content.data_sectors ~count:4);
+      Vmm.wait_devirtualized vmm;
+      last := Some (slot 0, slot 31));
+  Sim.run ~until:(Time.minutes 30) rig.sim;
+  match (!first, !last) with
+  | Some (a0, a31), Some (b0, b31) ->
+    check_int "slot 0 keeps its table" a0 b0;
+    check_int "slot 31 keeps its table" a31 b31;
+    check_bool "separate tables" true (a0 <> a31)
+  | _ -> Alcotest.fail "deployment did not finish"
+
+(* The IDE analogue: the guest driver programs the same PRD table for
+   every command, and no table was registered after it — neither by the
+   driver nor by the mediator's multiplexed commands. *)
+let test_ide_prd_tables_reused () =
+  let module Ide = Bmcast_storage.Ide in
+  let rig = make_rig ~disk_kind:Machine.Ide_disk () in
+  let ide =
+    match rig.machine.Machine.controller with
+    | Machine.Ide i -> i
+    | Machine.Ahci _ -> assert false
+  in
+  let programmed = ref [] in
+  Sim.spawn_at rig.sim ~name:"scenario" Time.zero (fun () ->
+      let vmm =
+        Vmm.boot rig.machine ~params:rig.params
+          ~server_port:(Vblade.port_id rig.vblade) ()
+      in
+      let blk = Block_io.attach rig.machine in
+      ignore (Block_io.read blk ~lba:0 ~count:8 : Content.t array);
+      Vmm.wait_devirtualized vmm;
+      (* Past de-virtualization the guest programs the device directly. *)
+      for i = 0 to 1 do
+        ignore (Block_io.read blk ~lba:(i * 64) ~count:8 : Content.t array);
+        programmed := (Ide.raw_bm ide).Pio.inp Ide.Bm.prdt :: !programmed
+      done);
+  Sim.run ~until:(Time.minutes 30) rig.sim;
+  match !programmed with
+  | [ second; first ] ->
+    check_int "one table for the driver" first second;
+    check_bool "none registered after it" true
+      (match Ide.prdt ide ~addr:(first + 0x100) with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  | _ -> Alcotest.fail "deployment did not finish"
+
 let test_deployment_progress_monotone () =
   let samples = ref [] in
   let _rig, vmm =
@@ -1140,6 +1213,7 @@ let () =
           tc "multi-slot guest commands" `Quick test_multi_slot_guest_commands ] );
       ( "deployment",
         [ tc "completes" `Slow test_full_deployment_completes;
+          tc "ahci command tables reused" `Slow test_ahci_command_tables_reused;
           tc "progress monotone" `Slow test_deployment_progress_monotone;
           tc "guest writes never clobbered" `Slow
             (test_guest_write_never_clobbered Machine.Ahci_disk);
@@ -1151,6 +1225,7 @@ let () =
       ( "ide",
         [ tc "copy on read" `Quick test_ide_copy_on_read;
           tc "full deployment" `Slow test_ide_full_deployment;
+          tc "prd tables reused" `Slow test_ide_prd_tables_reused;
           tc "guest writes never clobbered" `Slow
             (test_guest_write_never_clobbered Machine.Ide_disk);
           QCheck_alcotest.to_alcotest

@@ -685,6 +685,42 @@ let test_fleet_replicas_beat_single () =
   check_bool "2 replicas faster (median ttdv)" true
     (two.Scaleout.ttdv.Scaleout.p50 < one.Scaleout.ttdv.Scaleout.p50)
 
+(* --- memory per client --- *)
+
+(* The most live heap a fleet run reaches, in bytes: a daemon samples
+   reachable words after a full major collection every 5 virtual
+   seconds. *)
+let peak_live_bytes ~machines =
+  let peak = ref 0 in
+  let sample () =
+    Gc.full_major ();
+    peak := max !peak (Gc.stat ()).Gc.live_words
+  in
+  ignore
+    (Scaleout.deploy_fleet ~image_mb:1
+       ~boot_profile:Bmcast_guest.Os.cloud_minimal ~limit_per_server:4
+       ~chaos:(fun sim _ _ ->
+         ignore (Sim.every sim (Time.s 5) sample : unit -> unit))
+       ~machines ~replicas:16 ()
+      : Scaleout.result);
+  !peak * (Sys.word_size / 8)
+
+(* What one more client costs, from the slope between 100 and 200
+   clients: a structure allocated per disk command and never freed
+   shows here as it grows with every client's command count. *)
+let test_memory_per_client () =
+  let b100 = peak_live_bytes ~machines:100 in
+  let b200 = peak_live_bytes ~machines:200 in
+  let per_client_kb = float_of_int (b200 - b100) /. 100. /. 1024. in
+  let measured =
+    Printf.sprintf "%.1f KB per client (100 clients: %.1f MB, 200: %.1f MB)"
+      per_client_kb
+      (float_of_int b100 /. 1048576.)
+      (float_of_int b200 /. 1048576.)
+  in
+  print_endline measured;
+  check_bool (measured ^ " < 64 KB") true (per_client_kb < 64.)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "fleet"
@@ -730,4 +766,5 @@ let () =
             test_fleet_mcast_scale_deterministic_trace;
           QCheck_alcotest.to_alcotest ~long:true prop_equivalence_under_faults;
           QCheck_alcotest.to_alcotest ~long:true
-            prop_deterministic_under_faults ] ) ]
+            prop_deterministic_under_faults ] );
+      ("memory", [ tc "live heap per client" `Slow test_memory_per_client ]) ]

@@ -202,6 +202,34 @@ let test_irq_unregister () =
   Sim.run sim;
   check_int "spurious" 1 (Irq.spurious irq)
 
+let test_irq_isr_failure_named () =
+  let sim = Sim.create () in
+  let irq = Irq.create sim in
+  Irq.register irq ~vec:14 (fun () -> failwith "isr");
+  Irq.raise_irq irq ~vec:14;
+  match Sim.run sim with
+  | () -> Alcotest.fail "a raising ISR must fail the run"
+  | exception Sim.Process_failure (name, Failure _) ->
+    Alcotest.(check string) "process name" "isr-vec14" name
+
+let test_irq_vectors () =
+  let sim = Sim.create () in
+  let irq = Irq.create sim in
+  check_int "never raised" 0 (Irq.delivered irq ~vec:7);
+  Irq.register irq ~vec:3 ignore;
+  check_int "registered, never raised" 0 (Irq.delivered irq ~vec:3);
+  Irq.raise_irq irq ~vec:3;
+  check_int "raised once" 1 (Irq.delivered irq ~vec:3);
+  check_int "past the highest vector" 0 (Irq.delivered irq ~vec:200);
+  let rejects what f =
+    check_bool what true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "register" (fun () -> Irq.register irq ~vec:(-1) ignore);
+  rejects "unregister" (fun () -> Irq.unregister irq ~vec:(-1));
+  rejects "raise" (fun () -> Irq.raise_irq irq ~vec:(-1));
+  rejects "delivered" (fun () -> ignore (Irq.delivered irq ~vec:(-1) : int))
+
 (* --- Cpu --- *)
 
 let test_cpu_run_consumes_time () =
@@ -253,7 +281,19 @@ let test_cpu_exit_accounting () =
   check_int "total" 3 (Cpu.total_exits cpu);
   check_int "time" (Time.us 4) (Cpu.exit_time cpu);
   Cpu.reset_exit_counters cpu;
-  check_int "reset" 0 (Cpu.total_exits cpu)
+  check_int "reset" 0 (Cpu.total_exits cpu);
+  (* Each reason counts on its own: the i-th is recorded i + 1 times. *)
+  let reasons =
+    Cpu.[ Pio; Mmio; Cpuid; Preempt_timer; Control_reg; Init_sipi; Other ]
+  in
+  List.iteri
+    (fun i r ->
+      for _ = 0 to i do
+        Cpu.record_exit cpu r ~cost:0
+      done)
+    reasons;
+  List.iteri (fun i r -> check_int "per reason" (i + 1) (Cpu.exits cpu r)) reasons;
+  check_int "total per reason" 28 (Cpu.total_exits cpu)
 
 let test_cpu_bad_core () =
   let sim = Sim.create () in
@@ -391,7 +431,9 @@ let () =
       ( "irq",
         [ tc "delivery" `Quick test_irq_delivery;
           tc "spurious" `Quick test_irq_spurious;
-          tc "unregister" `Quick test_irq_unregister ] );
+          tc "unregister" `Quick test_irq_unregister;
+          tc "isr failure named" `Quick test_irq_isr_failure_named;
+          tc "vectors" `Quick test_irq_vectors ] );
       ( "cpu",
         [ tc "run consumes time" `Quick test_cpu_run_consumes_time;
           tc "preemption stalls" `Quick test_cpu_preemption_stalls;

@@ -267,6 +267,28 @@ let test_nic_rx_irq () =
   Sim.run sim;
   check_int "irq" 1 !fired
 
+(* Rings are found by address: a ring of the other direction, an
+   unaligned or an unknown address is rejected. *)
+let test_nic_ring_lookup () =
+  let r = nic_rig () in
+  let h = Nic.raw r.nic in
+  let tx = Nic.alloc_tx_ring r.nic and rx = Nic.alloc_rx_ring r.nic in
+  let rejects what msg f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument m -> Alcotest.(check string) what msg m
+  in
+  rejects "rx ring as tx" (Printf.sprintf "Nic: no TX ring at 0x%x" rx)
+    (fun () -> h.Mmio.write Nic.Regs.tdba rx);
+  rejects "tx ring as rx" (Printf.sprintf "Nic: no RX ring at 0x%x" tx)
+    (fun () -> h.Mmio.write Nic.Regs.rdba tx);
+  rejects "unaligned" (Printf.sprintf "Nic: no TX ring at 0x%x" (tx + 16))
+    (fun () -> h.Mmio.write Nic.Regs.tdba (tx + 16));
+  rejects "unknown" (Printf.sprintf "Nic: no RX ring at 0x%x" (rx + 0x1000))
+    (fun () -> ignore (Nic.rx_desc r.nic ~ring:(rx + 0x1000) ~idx:0 : Packet.t option));
+  h.Mmio.write Nic.Regs.tdba tx;
+  check_int "tdba moved" tx (h.Mmio.read Nic.Regs.tdba)
+
 (* --- Ib --- *)
 
 let test_ib_rdma_latency () =
@@ -702,7 +724,8 @@ let () =
         [ tc "tx" `Quick test_nic_tx;
           tc "rx ring" `Quick test_nic_rx_ring;
           tc "rx overflow drops" `Quick test_nic_rx_overflow_drops;
-          tc "rx irq" `Quick test_nic_rx_irq ] );
+          tc "rx irq" `Quick test_nic_rx_irq;
+          tc "ring lookup" `Quick test_nic_ring_lookup ] );
       ( "ib",
         [ tc "rdma latency" `Quick test_ib_rdma_latency;
           tc "overhead adds to latency" `Quick test_ib_overhead_adds_to_latency;

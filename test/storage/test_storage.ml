@@ -388,6 +388,49 @@ let test_disk_mixed_content_runs () =
          Alcotest.(check (array content_testable))
            "mixed preserved" data (Disk.peek d ~lba:10 ~count:5)))
 
+(* Two overlapping writes built from random runs — zeros, image sectors
+   at a shifted offset, one guest write's tag, or a blob (equal strings
+   in separate runs included) — read back as a reference array holds
+   them. *)
+let prop_disk_poke_peek =
+  let write =
+    QCheck.Gen.(
+      pair (int_range 1 60)
+        (list_size (int_range 1 10)
+           (triple (int_bound 3) (int_bound 2) (int_range 1 8))))
+  in
+  let sectors (lba, runs) =
+    let pos = ref lba in
+    Array.concat
+      (List.map
+         (fun (kind, k, len) ->
+           let run =
+             Array.init len (fun i ->
+                 match kind with
+                 | 0 -> Content.Zero
+                 | 1 -> Content.Image (!pos + i + k - 1)
+                 | 2 -> Content.Data k
+                 | _ -> Content.Blob (String.make 3 (Char.chr (97 + k))))
+           in
+           pos := !pos + len;
+           run)
+         runs)
+  in
+  QCheck.Test.make ~name:"disk poke then peek returns the written sectors"
+    ~count:300
+    (QCheck.make QCheck.Gen.(pair write write))
+    (fun (w1, w2) ->
+      let sim = Sim.create () in
+      let d = Disk.create sim small_hdd in
+      let reference = Array.make 200 Content.Zero in
+      List.iter
+        (fun ((lba, _) as w) ->
+          let data = sectors w in
+          Disk.poke d ~lba ~count:(Array.length data) data;
+          Array.blit data 0 reference lba (Array.length data))
+        [ w1; w2 ];
+      Array.for_all2 Content.equal reference (Disk.peek d ~lba:0 ~count:200))
+
 let test_disk_sequential_faster_than_random () =
   ignore
     (in_proc (fun sim ->
@@ -641,6 +684,39 @@ let test_ahci_mediator_can_rewrite_command () =
   Alcotest.check content_testable "guest buffer untouched" Content.Zero
     guest_buf.Dma.data.(0)
 
+(* Command lists and tables are found by address: an unaligned,
+   unknown or wrong-kind address is rejected. *)
+let test_ahci_structure_lookup () =
+  let rig = ahci_rig () in
+  let table =
+    Ahci.alloc_cmd_table rig.ahci
+      { Ahci.Fis.op = Ahci.Fis.Read; lba = 0; count = 1 }
+      []
+  in
+  let rejects what msg f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument m -> Alcotest.(check string) what msg m
+  in
+  let table_at addr () = ignore (Ahci.cmd_table rig.ahci ~addr : Ahci.cmd_table) in
+  rejects "list as table"
+    (Printf.sprintf "Ahci: no command table at 0x%x" rig.clb)
+    (table_at rig.clb);
+  rejects "unaligned"
+    (Printf.sprintf "Ahci: no command table at 0x%x" (table + 8))
+    (table_at (table + 8));
+  rejects "unknown"
+    (Printf.sprintf "Ahci: no command table at 0x%x" (table + 0x1000))
+    (table_at (table + 0x1000));
+  rejects "below the base" "Ahci: no command table at 0x0" (table_at 0);
+  rejects "table as list"
+    (Printf.sprintf "Ahci: no command list at 0x%x" table)
+    (fun () -> Ahci.set_slot rig.ahci ~clb:table ~slot:0 ~table_addr:table);
+  rejects "empty slot" "Ahci: slot 3 is empty" (fun () ->
+      ignore (Ahci.slot_table_addr rig.ahci ~clb:rig.clb ~slot:3 : int));
+  Ahci.set_slot rig.ahci ~clb:rig.clb ~slot:3 ~table_addr:table;
+  check_int "slot set" table (Ahci.slot_table_addr rig.ahci ~clb:rig.clb ~slot:3)
+
 (* --- IDE --- *)
 
 type ide_rig = {
@@ -741,6 +817,32 @@ let test_ide_nien_suppresses_irq () =
   (* Polling path: bus-master status shows the IRQ bit. *)
   check_bool "bm irq bit" true (Pio.inp rig.pio 0xC002 land 0x04 <> 0)
 
+(* One registered table serves command after command, rewritten in
+   place; only registered addresses can be rewritten. *)
+let test_ide_prdt_rewrite () =
+  let rig = ide_rig () in
+  Disk.poke rig.idisk ~lba:0 ~count:4 (Content.image_sectors ~lba:0 ~count:4);
+  let prdt_addr = Ide.register_prdt rig.ide [] in
+  let read lba =
+    let buf = Dma.alloc rig.idma ~sectors:1 in
+    Ide.set_prdt rig.ide ~addr:prdt_addr
+      [ { Ide.buf_addr = buf.Dma.addr; sectors = 1 } ];
+    ide_issue rig ~op:`Read ~lba ~count:1 ~prdt_addr;
+    Sim.run rig.isim;
+    Pio.outp rig.pio 0xC002 0x04;
+    buf.Dma.data.(0)
+  in
+  Alcotest.check content_testable "first" (Content.Image 1) (read 1);
+  Alcotest.check content_testable "second" (Content.Image 3) (read 3);
+  List.iter
+    (fun (what, addr) ->
+      check_bool what true
+        (match Ide.set_prdt rig.ide ~addr [] with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [ ("unregistered rejected", prdt_addr + 0x100);
+      ("unaligned rejected", prdt_addr + 0x80) ]
+
 let test_ide_lba_assembly () =
   (* Needs an LBA above 2^24 so the device-register nibble is exercised;
      use a big disk. *)
@@ -792,6 +894,7 @@ let () =
       ( "disk",
         [ tc "poke peek roundtrip" `Quick test_disk_poke_peek_roundtrip;
           tc "mixed content runs" `Quick test_disk_mixed_content_runs;
+          QCheck_alcotest.to_alcotest prop_disk_poke_peek;
           tc "sequential faster" `Quick test_disk_sequential_faster_than_random;
           tc "sequential rate calibration" `Quick test_disk_sequential_rate_calibration;
           tc "cache hit fast" `Quick test_disk_cache_hit_fast;
@@ -807,10 +910,12 @@ let () =
           tc "irq masked" `Quick test_ahci_no_irq_when_masked;
           tc "issue while stopped" `Quick test_ahci_issue_while_stopped_rejected;
           tc "multi slot fifo" `Quick test_ahci_multi_slot_fifo;
-          tc "mediator rewrite trick" `Quick test_ahci_mediator_can_rewrite_command ] );
+          tc "mediator rewrite trick" `Quick test_ahci_mediator_can_rewrite_command;
+          tc "structure lookup" `Quick test_ahci_structure_lookup ] );
       ( "ide",
         [ tc "read flow" `Quick test_ide_read_flow;
           tc "write flow" `Quick test_ide_write_flow;
           tc "busy status" `Quick test_ide_busy_status;
           tc "nien suppresses irq" `Quick test_ide_nien_suppresses_irq;
-          tc "lba assembly" `Quick test_ide_lba_assembly ] ) ]
+          tc "lba assembly" `Quick test_ide_lba_assembly;
+          tc "prdt rewrite" `Quick test_ide_prdt_rewrite ] ) ]
