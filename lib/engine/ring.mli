@@ -15,5 +15,5 @@ val push : 'a t -> 'a -> unit
 exception Empty
 
 val pop : 'a t -> 'a
-(** Remove and return the head. Raises {!Empty} when empty. Popped
-    slots retain their reference until overwritten by later pushes. *)
+(** Remove and return the head. Raises {!Empty} when empty. The slot
+    is cleared, so the ring holds no reference to a popped value. *)

@@ -2,6 +2,7 @@
 
 module Time = Bmcast_engine.Time
 module Heap = Bmcast_engine.Heap
+module Ring = Bmcast_engine.Ring
 module Wheel = Bmcast_engine.Timer_wheel
 module Prng = Bmcast_engine.Prng
 module Sim = Bmcast_engine.Sim
@@ -835,6 +836,56 @@ let test_sim_job_failure () =
   Sim.run sim;
   check_int "re-queued after it ran" (Time.ms 3) (Sim.now sim)
 
+(* --- Ring --- *)
+
+(* Push two fresh blocks and pop the first, keeping only weak pointers
+   to them. Not inlined, so no register or stack slot of the caller
+   still holds a block when it collects. *)
+let[@inline never] push_two_pop_one r =
+  let w = Weak.create 2 in
+  let a = Bytes.make 64 'a' and b = Bytes.make 64 'b' in
+  Weak.set w 0 (Some a);
+  Weak.set w 1 (Some b);
+  Ring.push r a;
+  Ring.push r b;
+  ignore (Sys.opaque_identity (Ring.pop r) : Bytes.t);
+  w
+
+let test_ring_pop_releases () =
+  let r = Ring.create () in
+  let w = push_two_pop_one r in
+  Gc.full_major ();
+  check_bool "popped value collected" true (Option.is_none (Weak.get w 0));
+  check_bool "queued value kept" true (Option.is_some (Weak.get w 1));
+  check_int "one left" 1 (Ring.length r)
+
+(* Floats pushed through growth and wrap-around come back in order. A
+   ring grown from a pushed float would be a flat float array, and the
+   immediate [pop] stores into a cleared slot would not fit in it. *)
+let test_ring_float_growth () =
+  let r = Ring.create () in
+  let pushed = ref 0 and popped = ref 0 in
+  let push n =
+    for _ = 1 to n do
+      Ring.push r (float_of_int !pushed);
+      incr pushed
+    done
+  in
+  let pop n =
+    for _ = 1 to n do
+      check_float "fifo order" (float_of_int !popped) (Ring.pop r);
+      incr popped
+    done
+  in
+  push 5;
+  pop 3;
+  push 40;
+  pop 20;
+  push 100;
+  pop (Ring.length r);
+  check_int "all popped" !pushed !popped;
+  check_bool "empty" true (Ring.is_empty r)
+
 (* --- Mailbox --- *)
 
 let test_mailbox_fifo () =
@@ -1119,6 +1170,9 @@ let () =
           tc "create with timeseries" `Quick test_sim_create_with_timeseries;
           tc "job matches process" `Quick test_sim_job_matches_process;
           tc "job failure" `Quick test_sim_job_failure ] );
+      ( "ring",
+        [ tc "pop releases the value" `Quick test_ring_pop_releases;
+          tc "floats survive growth" `Quick test_ring_float_growth ] );
       ( "mailbox",
         [ tc "fifo" `Quick test_mailbox_fifo;
           tc "blocking recv" `Quick test_mailbox_blocking_recv;
