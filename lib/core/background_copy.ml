@@ -232,10 +232,13 @@ let rec writer t =
   end
   else finish t
 
-let progress t =
+(* Filled fraction of the image. The gauge below closes over the bitmap
+   alone: the metrics registry lives as long as the run, and [t] reaches
+   the mediator and the AoE client through [ops]. *)
+let progress bitmap () =
   Float.min 1.0
-    (float_of_int (Bitmap.filled_count t.bitmap)
-    /. float_of_int t.params.Params.image_sectors)
+    (float_of_int (Bitmap.filled_count bitmap)
+    /. float_of_int (Bitmap.sectors bitmap))
 
 let start sim ~params ~bitmap ~ops ?owner () =
   if Bitmap.sectors bitmap <> params.Params.image_sectors then
@@ -270,8 +273,7 @@ let start sim ~params ~bitmap ~ops ?owner () =
   | Some m ->
     Metrics.derived (Sim.metrics sim)
       ~labels:[ ("m", m) ]
-      "copy.progress"
-      (fun () -> progress t)
+      "copy.progress" (progress bitmap)
   | None -> ());
   Sim.spawn_at sim ~name:"bgcopy-retriever" (Sim.now sim) (fun () -> retriever t);
   Sim.spawn_at sim ~name:"bgcopy-writer" (Sim.now sim) (fun () -> writer t);

@@ -47,6 +47,8 @@ type t = {
   cpu_model : Cpu_model.t;
   bitmap : Bitmap.t;
   mutable background : Background_copy.t option;
+  deferral : t option ref;
+      (* the VMM as the multicast deferral daemon sees it; see [boot] *)
   mutable phase : Runtime.phase;
   mutable devirtualized_at : Time.t option;
   deployed : Signal.Latch.t;
@@ -154,6 +156,7 @@ let devirtualize t =
     drain ();
     Vmm_netdrv.stop d);
   Cpu_model.clear t.cpu_model;
+  t.deferral := None;
   if t.release_memory then Memmap.release_vmm t.machine.Machine.memmap;
   (if t.hide_mgmt_nic then
      (* §4.3: keep the management NIC invisible; the VMM stays resident
@@ -332,6 +335,7 @@ let boot machine ~params ~server_port ?route ?on_aoe_response ?mcast_group
       cpu_model;
       bitmap;
       background = None;
+      deferral = ref None;
       phase = Runtime.Deploying;
       devirtualized_at = None;
       deployed = Signal.Latch.create ();
@@ -411,26 +415,37 @@ let boot machine ~params ~server_port ?route ?on_aoe_response ?mcast_group
        goes quiet (passes exhausted, or its vblade crashed) the copy
        resumes and mops up whatever multicast missed; if frames return,
        it pauses again. Copy-on-read is untouched either way — sectors
-       the guest demands right now still arrive over unicast. *)
+       the guest demands right now still arrive over unicast.
+
+       The daemon keeps firing until the run ends, so it reads the VMM
+       through [t.deferral], which [devirtualize] empties: a
+       de-virtualized VMM must be collectable. Its ticks stay queued, so
+       the event stream is the same as if it held [t] for good. *)
     let quiet = Time.ms 600 in
+    let sim = machine.Machine.sim in
+    let deferral = t.deferral in
+    deferral := Some t;
     ignore
-      (Sim.every machine.Machine.sim ~daemon:true (Time.ms 200) (fun () ->
-           match t.background with
+      (Sim.every sim ~daemon:true (Time.ms 200) (fun () ->
+           match !deferral with
            | None -> ()
-           | Some bg ->
-             let live =
-               (not (Bitmap.is_complete t.bitmap))
-               &&
-               match t.last_mcast_at with
-               | Some ts -> Sim.now machine.Machine.sim - ts < quiet
-               | None -> false
-             in
-             if live then begin
-               if not (Background_copy.is_paused bg) then
-                 Background_copy.pause bg
-             end
-             else if Background_copy.is_paused bg then
-               Background_copy.resume bg)
+           | Some t -> (
+             match t.background with
+             | None -> ()
+             | Some bg ->
+               let live =
+                 (not (Bitmap.is_complete t.bitmap))
+                 &&
+                 match t.last_mcast_at with
+                 | Some ts -> Sim.now sim - ts < quiet
+                 | None -> false
+               in
+               if live then begin
+                 if not (Background_copy.is_paused bg) then
+                   Background_copy.pause bg
+               end
+               else if Background_copy.is_paused bg then
+                 Background_copy.resume bg))
         : unit -> unit));
   stage_span machine.Machine.sim ~machine "vmm_init" ~ts:boot_started;
   Sim.spawn ~name:"bmcast-deployment" (fun () -> deployment t);
@@ -456,6 +471,7 @@ let shutdown t =
   if t.shut_down then invalid_arg "Vmm.shutdown: already shut down";
   sync_residual t;
   t.residual <- None;
+  t.deferral := None;
   (match t.background with
   | Some bg -> Background_copy.stop bg
   | None -> ());

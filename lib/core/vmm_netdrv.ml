@@ -28,6 +28,19 @@ let wreg t off v = Mmio.write t.machine.Machine.mmio (t.base + off) v
    keeps idle deployment phases cheap. *)
 let max_backoff = 64
 
+(* Take the frame at [rx_idx] out of the ring, pass it to [deliver] and
+   hand the record back to the fabric pool, then move past the
+   descriptor. [deliver] consumes synchronously (reassembly copies what
+   it needs). *)
+let consume t deliver =
+  (match Nic.rx_desc t.nic ~ring:t.rx_ring ~idx:t.rx_idx with
+  | Some frame ->
+    Nic.clear_rx_desc t.nic ~ring:t.rx_ring ~idx:t.rx_idx;
+    deliver frame;
+    Fabric.release_frame (Nic.fabric t.nic) frame
+  | None -> ());
+  t.rx_idx <- (t.rx_idx + 1) mod Nic.ring_size
+
 (* One poll: drain the RX ring, then re-queue [job] one (backed-off)
    interval later. *)
 let poll t job =
@@ -35,15 +48,7 @@ let poll t job =
     let rdh = reg t Nic.Regs.rdh in
     let saw_traffic = t.rx_idx <> rdh in
     while t.rx_idx <> rdh do
-      (match Nic.rx_desc t.nic ~ring:t.rx_ring ~idx:t.rx_idx with
-      | Some frame ->
-        Nic.clear_rx_desc t.nic ~ring:t.rx_ring ~idx:t.rx_idx;
-        t.on_frame frame;
-        (* [on_frame] consumes synchronously (reassembly copies what it
-           needs); hand the record back to the fabric pool. *)
-        Fabric.release_frame (Nic.fabric t.nic) frame
-      | None -> ());
-      t.rx_idx <- (t.rx_idx + 1) mod Nic.ring_size;
+      consume t t.on_frame;
       (* Recycle the buffer: advance RDT to keep the ring stocked. *)
       t.rdt <- (t.rdt + 1) mod Nic.ring_size;
       wreg t Nic.Regs.rdt t.rdt
@@ -65,10 +70,11 @@ let attach machine ?(which = `Mgmt) ~poll_interval ~on_frame () =
         | `Mgmt -> Machine.mgmt_nic_base
         | `Prod -> Machine.prod_nic_base);
       nic;
-      (* Fresh rings: attaching is a device (re)initialization, so we
-         never inherit a previous owner's ring state. *)
-      tx_ring = Nic.alloc_tx_ring nic;
-      rx_ring = Nic.alloc_rx_ring nic;
+      (* The NIC's own rings, emptied below: attaching is a device
+         (re)initialization, so we never inherit a previous owner's ring
+         state, and a resumed VMM that attaches again allocates none. *)
+      tx_ring = Nic.default_tx_ring nic;
+      rx_ring = Nic.default_rx_ring nic;
       poll_interval;
       on_frame;
       tx_idx = 0;
@@ -79,6 +85,8 @@ let attach machine ?(which = `Mgmt) ~poll_interval ~on_frame () =
   in
   (* Program our rings (resets head/tail), polling mode: interrupts
      off, publish all but one RX buffer. *)
+  Nic.clear_ring nic t.tx_ring;
+  Nic.clear_ring nic t.rx_ring;
   wreg t Nic.Regs.tdba t.tx_ring;
   wreg t Nic.Regs.rdba t.rx_ring;
   wreg t Nic.Regs.ie 0;
@@ -95,4 +103,18 @@ let send t ~dst ~size_bytes payload =
   t.tx_idx <- (t.tx_idx + 1) mod Nic.ring_size;
   wreg t Nic.Regs.tdt t.tx_idx
 
-let stop t = t.running <- false
+(* A stopped driver keeps no frame alive. It publishes no more RX
+   buffers (RDT := RDH), so the NIC drops frames that still arrive (late
+   AoE answers, carousel frames), and hands the frames already in the
+   ring back to the fabric pool. Their payloads go to the GC, never to
+   the scratch pool: multicast payloads are shared. *)
+let stop t =
+  if t.running then begin
+    t.running <- false;
+    let rdh = reg t Nic.Regs.rdh in
+    t.rdt <- rdh;
+    wreg t Nic.Regs.rdt rdh;
+    while t.rx_idx <> rdh do
+      consume t ignore
+    done
+  end

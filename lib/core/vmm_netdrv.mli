@@ -18,7 +18,9 @@ val attach :
   unit ->
   t
 (** Start polling a NIC (default: the dedicated management NIC;
-    [`Prod] models the shared-NIC configuration of §6). The first poll
+    [`Prod] models the shared-NIC configuration of §6). The driver
+    empties and programs the NIC's own default rings, so attaching
+    again (a resumed VMM) allocates no ring. The first poll
     runs at the current time; an idle ring backs the interval off up to
     64×. [on_frame] runs inside the poll job: it must not block, and an
     exception it raises makes [Sim.run] raise
@@ -26,3 +28,7 @@ val attach :
 
 val send : t -> dst:int -> size_bytes:int -> Bmcast_net.Packet.payload -> unit
 val stop : t -> unit
+(** Stop polling and publish no more RX buffers: the NIC drops every
+    later frame (counted in {!Bmcast_net.Nic.rx_dropped}), and frames
+    still in the RX ring go back to the fabric pool undelivered.
+    Stopping twice is a no-op. A new {!attach} restarts the NIC. *)

@@ -92,6 +92,13 @@ let rx_desc t ~ring ~idx =
   check_idx idx;
   (rx_ring t ring).(idx)
 
+let clear_ring t addr =
+  match ring t addr with
+  | Tx r -> Array.fill r 0 ring_size None
+  | Rx r -> Array.fill r 0 ring_size None
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Nic: no ring at 0x%x" addr)
+
 let put_rx_desc t ~ring ~idx frame =
   check_idx idx;
   (rx_ring t ring).(idx) <- Some frame

@@ -84,5 +84,10 @@ val put_rx_desc : t -> ring:int -> idx:int -> Packet.t -> unit
 
 val clear_rx_desc : t -> ring:int -> idx:int -> unit
 
+val clear_ring : t -> int -> unit
+(** Empty every descriptor of the ring at this address, TX or RX. A
+    frame still in an RX ring goes to the GC, not to the fabric pool.
+    Raises [Invalid_argument] if no ring starts there. *)
+
 val rx_dropped : t -> int
 (** Frames dropped because the RX ring was full. *)
