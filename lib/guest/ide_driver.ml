@@ -96,7 +96,7 @@ let write t ~lba ~count data =
         if off < count then begin
           let n = min max_per_command (count - off) in
           let buf = Dma.alloc dma ~sectors:n in
-          Dma.write buf ~off:0 (Array.sub data off n);
+          Dma.blit_to buf ~off:0 data ~src_off:off ~count:n;
           one_command t `Write ~lba:(lba + off) ~count:(n land 0xFF) buf;
           Dma.free dma buf;
           go (off + n)

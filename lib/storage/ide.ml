@@ -94,8 +94,12 @@ let execute t cmd =
   t.bm_status <- t.bm_status lor 0x01;
   Sim.sleep command_overhead;
   let lba = lba_of_taskfile t and count = count_of_taskfile t in
+  (* Sectors are staged through a pooled scratch array, as in
+     [Ahci.execute]: both directions copy, so the array is dead again
+     by the end of the command. *)
   (if cmd = cmd_read_dma then begin
-     let data = Disk.read t.disk ~lba ~count in
+     let data = Content.Scratch.alloc count in
+     Disk.read_into t.disk ~lba ~count data;
      let prds = prdt t ~addr:t.bm_prdt in
      let off = ref 0 in
      List.iter
@@ -103,25 +107,27 @@ let execute t cmd =
          if !off < count then begin
            let n = min prd.sectors (count - !off) in
            let buf = Dma.find t.dma ~addr:prd.buf_addr in
-           Dma.write buf ~off:0 (Array.sub data !off n);
-           off := !off + n
-         end)
-       prds
-   end
-   else if cmd = cmd_write_dma then begin
-     let prds = prdt t ~addr:t.bm_prdt in
-     let data = Array.make count Content.Zero in
-     let off = ref 0 in
-     List.iter
-       (fun prd ->
-         if !off < count then begin
-           let n = min prd.sectors (count - !off) in
-           let buf = Dma.find t.dma ~addr:prd.buf_addr in
-           Array.blit (Dma.read buf ~off:0 ~count:n) 0 data !off n;
+           Dma.blit_to buf ~off:0 data ~src_off:!off ~count:n;
            off := !off + n
          end)
        prds;
-     Disk.write t.disk ~lba ~count data
+     Content.Scratch.release data
+   end
+   else if cmd = cmd_write_dma then begin
+     let prds = prdt t ~addr:t.bm_prdt in
+     let data = Content.Scratch.alloc count in
+     let off = ref 0 in
+     List.iter
+       (fun prd ->
+         if !off < count then begin
+           let n = min prd.sectors (count - !off) in
+           let buf = Dma.find t.dma ~addr:prd.buf_addr in
+           Dma.blit_from buf ~off:0 data ~dst_off:!off ~count:n;
+           off := !off + n
+         end)
+       prds;
+     Disk.write t.disk ~lba ~count data;
+     Content.Scratch.release data
    end
    else if cmd = cmd_flush then Sim.sleep (Time.us 500)
    else invalid_arg (Printf.sprintf "Ide: unsupported command 0x%x" cmd));
