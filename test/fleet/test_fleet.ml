@@ -690,36 +690,50 @@ let test_fleet_replicas_beat_single () =
 (* The most live heap a fleet run reaches, in bytes: a daemon samples
    reachable words after a full major collection every 5 virtual
    seconds. *)
-let peak_live_bytes ~machines =
+let peak_live_bytes ~image_mb ~replicas ~machines =
   let peak = ref 0 in
   let sample () =
     Gc.full_major ();
     peak := max !peak (Gc.stat ()).Gc.live_words
   in
   ignore
-    (Scaleout.deploy_fleet ~image_mb:1
+    (Scaleout.deploy_fleet ~image_mb
        ~boot_profile:Bmcast_guest.Os.cloud_minimal ~limit_per_server:4
        ~chaos:(fun sim _ _ ->
          ignore (Sim.every sim (Time.s 5) sample : unit -> unit))
-       ~machines ~replicas:16 ()
+       ~machines ~replicas ()
       : Scaleout.result);
   !peak * (Sys.word_size / 8)
 
-(* What one more client costs, from the slope between 100 and 200
-   clients: a structure allocated per disk command and never freed
-   shows here as it grows with every client's command count. *)
-let test_memory_per_client () =
-  let b100 = peak_live_bytes ~machines:100 in
-  let b200 = peak_live_bytes ~machines:200 in
-  let per_client_kb = float_of_int (b200 - b100) /. 100. /. 1024. in
+(* What one more client costs, from the slope between [n] and [2n]
+   clients, against a limit in KB: fixed costs (interning caches, pools)
+   cancel out, and anything a client keeps after it is done grows with
+   the fleet. *)
+let check_slope ~image_mb ~replicas ~n ~limit_kb =
+  let small = peak_live_bytes ~image_mb ~replicas ~machines:n in
+  let large = peak_live_bytes ~image_mb ~replicas ~machines:(2 * n) in
+  let per_client_kb = float_of_int (large - small) /. float_of_int n /. 1024. in
   let measured =
-    Printf.sprintf "%.1f KB per client (100 clients: %.1f MB, 200: %.1f MB)"
-      per_client_kb
-      (float_of_int b100 /. 1048576.)
-      (float_of_int b200 /. 1048576.)
+    Printf.sprintf "%d MB image: %.1f KB per client (%d clients: %.1f MB, %d: %.1f MB)"
+      image_mb per_client_kb n
+      (float_of_int small /. 1048576.)
+      (2 * n)
+      (float_of_int large /. 1048576.)
   in
   print_endline measured;
-  check_bool (measured ^ " < 64 KB") true (per_client_kb < 64.)
+  check_bool
+    (Printf.sprintf "%s < %.0f KB" measured limit_kb)
+    true (per_client_kb < limit_kb)
+
+(* Many commands per client: a structure allocated per disk command and
+   never freed shows here. *)
+let test_memory_per_client () =
+  check_slope ~image_mb:1 ~replicas:16 ~n:100 ~limit_kb:40.
+
+(* A larger image, fewer replicas: anything kept per image sector after
+   a client de-virtualizes (a VMM, fetched chunks) shows here. *)
+let test_memory_per_client_8mb () =
+  check_slope ~image_mb:8 ~replicas:2 ~n:50 ~limit_kb:100.
 
 let () =
   let tc = Alcotest.test_case in
@@ -767,4 +781,7 @@ let () =
           QCheck_alcotest.to_alcotest ~long:true prop_equivalence_under_faults;
           QCheck_alcotest.to_alcotest ~long:true
             prop_deterministic_under_faults ] );
-      ("memory", [ tc "live heap per client" `Slow test_memory_per_client ]) ]
+      ( "memory",
+        [ tc "live heap per client" `Slow test_memory_per_client;
+          tc "live heap per client, 8 MB image" `Slow
+            test_memory_per_client_8mb ] ) ]
