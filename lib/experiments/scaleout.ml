@@ -545,9 +545,8 @@ let run_crossover ?metrics_out () =
    [Os.cloud_minimal] guest so the run measures deployment physics, and
    relies on the engine's lazy idle guests — each machine stops costing
    scheduler events the moment it de-virtualizes. *)
-let run_scale ?(client_counts = [ 250; 1000 ]) ?(replicas = 16) ?metrics_out
-    () =
-  let image_mb = 8 in
+let run_scale () =
+  let client_counts = [ 250; 1000 ] and replicas = 16 and image_mb = 8 in
   Report.section
     (Printf.sprintf
        "Fleet scale-out, cloud-burst regime: clients x %d replicas (%d MB \
@@ -571,9 +570,4 @@ let run_scale ?(client_counts = [ 250; 1000 ]) ?(replicas = 16) ?metrics_out
           r.ttdv.max;
           float_of_int r.sim_events /. 1e6 ])
     results;
-  (match metrics_out with
-  | Some path ->
-    write_metrics path results;
-    Report.note "wrote %s" path
-  | None -> ());
   results

@@ -187,16 +187,12 @@ val run_crossover : ?metrics_out:string -> unit -> result list
     enough that the pipelined background copy — the part peer serving
     and the carousel can actually accelerate — dominates each boot. *)
 
-val run_scale :
-  ?client_counts:int list ->
-  ?replicas:int ->
-  ?metrics_out:string ->
-  unit ->
-  result list
-(** The cloud-burst sweep: [client_counts] (default {250, 1000})
-    concurrent deployments against [replicas] (default 16) servers with
-    small 8 MB images and {!Bmcast_guest.Os.cloud_minimal}
-    guests. Exists to exercise the fleet-scale engine path — 250
-    clients complete in seconds, 1,000 in ~half a minute (the cost is
-    the simulated AoE copy traffic, not the scheduler), and 10,000 is
+val run_scale : unit -> result list
+(** The cloud-burst sweep: 250 and 1,000 concurrent deployments
+    against 16 servers with small 8 MB images and
+    {!Bmcast_guest.Os.cloud_minimal} guests. Prints the report table;
+    the [fleet] bench entry writes the results into BENCH_fleet.json.
+    Exists to exercise the fleet-scale engine path — 250 clients
+    complete in seconds, 1,000 in ~half a minute (the cost is the
+    simulated AoE copy traffic, not the scheduler), and 10,000 is
     feasible (see [bench fleet10k]). *)
