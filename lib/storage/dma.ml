@@ -37,11 +37,6 @@ let write buf ~off src =
     invalid_arg "Dma.write: out of bounds";
   Array.blit src 0 buf.data off (Array.length src)
 
-let read buf ~off ~count =
-  if off < 0 || count < 0 || off + count > Array.length buf.data then
-    invalid_arg "Dma.read: out of bounds";
-  Array.sub buf.data off count
-
 (* Slice-aware copies so hot paths need not materialize a sub-array per
    PRD entry. *)
 let blit_to buf ~off src ~src_off ~count =

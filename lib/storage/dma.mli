@@ -34,8 +34,6 @@ val write : buf -> off:int -> Content.t array -> unit
 (** Copy sectors into the buffer at sector offset [off].
     Raises [Invalid_argument] on overflow. *)
 
-val read : buf -> off:int -> count:int -> Content.t array
-
 val blit_to : buf -> off:int -> Content.t array -> src_off:int -> count:int -> unit
 (** Copy [count] sectors from [src.(src_off..)] into the buffer at
     [off], without the intermediate array {!write} of an [Array.sub]
@@ -43,4 +41,5 @@ val blit_to : buf -> off:int -> Content.t array -> src_off:int -> count:int -> u
 
 val blit_from : buf -> off:int -> Content.t array -> dst_off:int -> count:int -> unit
 (** Copy [count] sectors out of the buffer at [off] into
-    [dst.(dst_off..)]; the in-place counterpart of {!read}. *)
+    [dst.(dst_off..)], the reverse of {!blit_to}.
+    Raises [Invalid_argument] if either window overflows. *)

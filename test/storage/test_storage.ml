@@ -331,10 +331,15 @@ let test_dma_read_write_bounds () =
   let dma = Dma.create () in
   let b = Dma.alloc dma ~sectors:4 in
   Dma.write b ~off:1 (Content.image_sectors ~lba:0 ~count:2);
+  let out = Array.make 3 (Content.Image 9) in
+  Dma.blit_from b ~off:0 out ~dst_off:0 ~count:3;
   Alcotest.(check (array content_testable))
-    "window" [| Content.Image 0; Content.Image 1 |]
-    (Dma.read b ~off:1 ~count:2);
-  Alcotest.check content_testable "untouched" Content.Zero (Dma.read b ~off:0 ~count:1).(0);
+    "window" [| Content.Zero; Content.Image 0; Content.Image 1 |] out;
+  check_bool "read overflow raises" true
+    (try
+       Dma.blit_from b ~off:2 out ~dst_off:0 ~count:3;
+       false
+     with Invalid_argument _ -> true);
   check_bool "overflow raises" true
     (try
        Dma.write b ~off:3 (Content.image_sectors ~lba:0 ~count:2);
