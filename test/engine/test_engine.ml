@@ -126,6 +126,18 @@ let pp_heap_op = function
   | HPop -> "pop"
   | HPeek_time -> "peek_time"
 
+(* A failing sequence shrinks by dropping ops and by pulling push
+   offsets toward 0, so a counterexample prints only the ops it needs. *)
+let shrink_heap_op = function
+  | HPush d -> QCheck.Iter.map (fun d -> HPush d) (QCheck.Shrink.int d)
+  | HNext | HPop_exn | HPop | HPeek_time -> QCheck.Iter.empty
+
+let arb_heap_ops gen =
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map pp_heap_op ops))
+    ~shrink:(QCheck.Shrink.list ~shrink:shrink_heap_op)
+    gen
+
 let gen_heap_ops =
   let open QCheck.Gen in
   let delta =
@@ -143,9 +155,23 @@ let gen_heap_ops =
         (2, return HPop);
         (1, return HPeek_time) ]
   in
-  QCheck.make
-    ~print:(fun ops -> String.concat " " (List.map pp_heap_op ops))
-    (list_size (int_range 1 800) op)
+  arb_heap_ops (list_size (int_range 1 800) op)
+
+(* Same-time entries: every push lands 0-3 ns after the last popped
+   time and pops are nearly as frequent, so a time's run of pushes is
+   interrupted by another time (T, U, T), re-opened after it drains,
+   and appended to while it is being drained. *)
+let gen_heap_window_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [ (6, map (fun d -> HPush d) (int_bound 3));
+        (1, return HNext);
+        (3, return HPop_exn);
+        (1, return HPop);
+        (1, return HPeek_time) ]
+  in
+  arb_heap_ops (list_size (int_range 1 400) op)
 
 let heap_matches_model ops =
   let h = Heap.create () in
@@ -208,6 +234,37 @@ let heap_matches_model ops =
 let prop_heap_matches_model =
   QCheck.Test.make ~name:"heap ≡ sorted-list model (time, insertion)"
     ~count:500 gen_heap_ops heap_matches_model
+
+let prop_heap_window_matches_model =
+  QCheck.Test.make
+    ~name:"heap ≡ sorted-list model, pushes within 3 ns of the last pop"
+    ~count:500 gen_heap_window_ops heap_matches_model
+
+(* Push three fresh blocks at one time, so they share an entry, and pop
+   the first two, keeping only weak pointers to them. Not inlined, so
+   no register or stack slot of the caller still holds a block when it
+   collects. *)
+let[@inline never] push_three_pop_two h =
+  let w = Weak.create 3 in
+  for i = 0 to 2 do
+    let b = Bytes.make 64 (Char.chr (Char.code 'a' + i)) in
+    Weak.set w i (Some b);
+    Heap.push h 5 b
+  done;
+  for _ = 1 to 2 do
+    ignore (Sys.opaque_identity (Heap.pop_exn h) : Bytes.t)
+  done;
+  w
+
+let test_heap_pop_releases () =
+  let h = Heap.create () in
+  let w = push_three_pop_two h in
+  Gc.full_major ();
+  check_bool "first value collected" true (Option.is_none (Weak.get w 0));
+  check_bool "value popped mid-entry collected" true
+    (Option.is_none (Weak.get w 1));
+  check_bool "queued value kept" true (Option.is_some (Weak.get w 2));
+  check_int "one left" 1 (Heap.size h)
 
 (* Once the queue has grown to its working size, the engine's
    next_time/pop_exn/push cycle allocates nothing. *)
@@ -387,8 +444,15 @@ let gen_wheel_ops =
         (2, map (fun n -> WAdvance n) (int_bound 8));
         (1, return WPeek) ]
   in
+  let shrink_op = function
+    | WPush d -> QCheck.Iter.map (fun d -> WPush d) (QCheck.Shrink.int d)
+    | WCancel i -> QCheck.Iter.map (fun i -> WCancel i) (QCheck.Shrink.int i)
+    | WAdvance n -> QCheck.Iter.map (fun n -> WAdvance n) (QCheck.Shrink.int n)
+    | WPeek -> QCheck.Iter.empty
+  in
   QCheck.make
     ~print:(fun ops -> String.concat " " (List.map pp_wheel_op ops))
+    ~shrink:(QCheck.Shrink.list ~shrink:shrink_op)
     (list_size (int_range 1 150) op)
 
 let wheel_matches_heap ~levels ops =
@@ -836,6 +900,71 @@ let test_sim_job_failure () =
   Sim.run sim;
   check_int "re-queued after it ran" (Time.ms 3) (Sim.now sim)
 
+(* Events due at one time come from a [schedule] made at an earlier
+   clock, from [wake_job]s that a running job pushes at that time, and
+   from those jobs' [sleep_job]s onto one later time, with pushes at
+   another time falling between pushes at the same time. Each time's
+   events run in the order they were pushed. *)
+let test_sim_same_time_order () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note s =
+    log := Printf.sprintf "%s@%d" s (Sim.now sim / Time.ms 1) :: !log
+  in
+  let at ms s = Sim.schedule sim (Time.ms ms) (fun () -> note s) in
+  let workers = ref [||] in
+  let work i () =
+    note (Printf.sprintf "w%d" i);
+    if Sim.now sim = Time.ms 10 then begin
+      if i = 1 then at 15 "mid";
+      Sim.sleep_job !workers.(i) (Time.ms 10)
+    end
+  in
+  workers :=
+    Array.init 3 (fun i -> Sim.job sim ~name:(Printf.sprintf "w%d" i) (work i));
+  let driver = ref None in
+  let drive () =
+    note "driver";
+    if Sim.now sim = Time.zero then
+      Sim.sleep_job (Option.get !driver) (Time.ms 10)
+    else begin
+      Sim.wake_job !workers.(0);
+      at 15 "other";
+      Sim.wake_job !workers.(1);
+      Sim.wake_job !workers.(2);
+      at 20 "late"
+    end
+  in
+  driver := Some (Sim.job sim ~name:"driver" drive);
+  at 10 "early";
+  Sim.start_job (Option.get !driver);
+  Sim.run sim;
+  Alcotest.(check (list string))
+    "run order"
+    [ "driver@0"; "early@10"; "driver@10"; "w0@10"; "w1@10"; "w2@10";
+      "other@15"; "mid@15"; "late@20"; "w0@20"; "w1@20"; "w2@20" ]
+    (List.rev !log)
+
+(* A run stopped inside a run of same-time events resumes with the rest
+   of them; a callback scheduled at [now] between the two runs comes
+   after them. *)
+let test_sim_stop_mid_run () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  List.iter
+    (fun s ->
+      Sim.schedule sim (Time.ms 5) (fun () ->
+          log := s :: !log;
+          if s = "b" then Sim.request_stop sim))
+    [ "a"; "b"; "c"; "d" ];
+  Sim.run sim;
+  Alcotest.(check (list string)) "stopped after b" [ "a"; "b" ] (List.rev !log);
+  check_int "clock" (Time.ms 5) (Sim.now sim);
+  Sim.schedule sim (Sim.now sim) (fun () -> log := "now" :: !log);
+  Sim.run sim;
+  Alcotest.(check (list string))
+    "resumed" [ "a"; "b"; "c"; "d"; "now" ] (List.rev !log)
+
 (* --- Ring --- *)
 
 (* Push two fresh blocks and pop the first, keeping only weak pointers
@@ -1129,8 +1258,10 @@ let () =
           tc "interleaved" `Quick test_heap_interleaved;
           tc "warm cycle allocates nothing" `Quick
             test_heap_warm_cycle_allocates_nothing;
+          tc "pop releases the value" `Quick test_heap_pop_releases;
           QCheck_alcotest.to_alcotest prop_heap_sorted;
-          QCheck_alcotest.to_alcotest prop_heap_matches_model ] );
+          QCheck_alcotest.to_alcotest prop_heap_matches_model;
+          QCheck_alcotest.to_alcotest prop_heap_window_matches_model ] );
       ( "timer_wheel",
         [ tc "order" `Quick test_wheel_order;
           tc "fifo ties" `Quick test_wheel_fifo_ties;
@@ -1169,7 +1300,9 @@ let () =
           tc "every non-daemon job" `Quick test_sim_every_non_daemon;
           tc "create with timeseries" `Quick test_sim_create_with_timeseries;
           tc "job matches process" `Quick test_sim_job_matches_process;
-          tc "job failure" `Quick test_sim_job_failure ] );
+          tc "job failure" `Quick test_sim_job_failure;
+          tc "same-time order" `Quick test_sim_same_time_order;
+          tc "stop inside a same-time run" `Quick test_sim_stop_mid_run ] );
       ( "ring",
         [ tc "pop releases the value" `Quick test_ring_pop_releases;
           tc "floats survive growth" `Quick test_ring_float_growth ] );
