@@ -71,21 +71,31 @@ let one_command t op ~lba ~count buf =
 let max_per_command = 256
 
 let read t ~lba ~count =
-  let out = Array.make count Content.Zero in
   let dma = t.machine.Machine.dma in
   Semaphore.with_permit t.lock (fun () ->
-      let rec go off =
-        if off < count then begin
-          let n = min max_per_command (count - off) in
-          let buf = Dma.alloc dma ~sectors:n in
-          one_command t `Read ~lba:(lba + off) ~count:(n land 0xFF) buf;
-          Array.blit buf.Dma.data 0 out off n;
-          Dma.free dma buf;
-          go (off + n)
-        end
-      in
-      go 0);
-  out
+      if count > 0 && count <= max_per_command then begin
+        let buf = Dma.alloc dma ~sectors:count in
+        one_command t `Read ~lba ~count:(count land 0xFF) buf;
+        (* Once freed, the buffer is unreachable: its array is the
+           result, as in [Ahci_driver.read]. *)
+        Dma.free dma buf;
+        buf.Dma.data
+      end
+      else begin
+        let out = Array.make count Content.Zero in
+        let rec go off =
+          if off < count then begin
+            let n = min max_per_command (count - off) in
+            let buf = Dma.alloc dma ~sectors:n in
+            one_command t `Read ~lba:(lba + off) ~count:(n land 0xFF) buf;
+            Array.blit buf.Dma.data 0 out off n;
+            Dma.free dma buf;
+            go (off + n)
+          end
+        in
+        go 0;
+        out
+      end)
 
 let write t ~lba ~count data =
   if Array.length data <> count then
