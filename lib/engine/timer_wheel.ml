@@ -14,7 +14,7 @@
    Events outside the wheel horizon — more than 256^levels ns ahead of
    the cursor, or behind it (the peek-then-park pattern in
    [Sim.run ~until] advances the cursor without popping) — ride the
-   binary [Heap] and are compared head-to-head at pop time; forward
+   engine's [Heap] and are compared head-to-head at pop time; forward
    overflow is promoted in bulk once the wheel drains.
 
    The pool is a set of parallel arrays threaded by a free list, so a
