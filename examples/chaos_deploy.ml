@@ -104,7 +104,7 @@ let () =
 
       (* Verify: guest data intact, everything else equals the image. *)
       let sector_ok i =
-        let got = (Disk.peek machine.Machine.disk ~lba:i ~count:1).(0) in
+        let got = Disk.sector machine.Machine.disk i in
         let want =
           if i >= guest_lba && i < guest_lba + guest_count then
             guest_data.(i - guest_lba)

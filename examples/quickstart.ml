@@ -72,7 +72,7 @@ let () =
       for lba = 0 to sectors - 1 do
         let expected =
           if lba >= 4096 && lba < 4096 + 128 then app_data.(lba - 4096)
-          else Content.Image lba
+          else Content.image lba
         in
         if not (Content.equal (Disk.sector machine.Machine.disk lba) expected)
         then incr mismatches

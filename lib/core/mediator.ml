@@ -216,7 +216,7 @@ let iter_commands t ~count f =
    queued guest commands run between them. *)
 let vmm_read t ~lba ~count =
   let dma = t.machine.Machine.dma in
-  let out = Array.make count Content.Zero in
+  let out = Content.zeroes ~count in
   iter_commands t ~count (fun off n ->
       let buf = Dma.alloc dma ~sectors:n in
       with_device t (fun () -> issue_vmm t Read ~lba:(lba + off) ~count:n buf);
@@ -275,7 +275,7 @@ let redirect t g c ~lba ~count =
   t.inflight_redirects <- t.inflight_redirects + 1;
   let sim = t.machine.Machine.sim in
   let started = Sim.now sim in
-  let data = Array.make count Content.Zero in
+  let data = Content.zeroes ~count in
   (* Assemble the request: empty sub-ranges from the server (2.
      Retrieve), filled sub-ranges from the local disk via multiplexed
      reads. *)
@@ -283,7 +283,7 @@ let redirect t g c ~lba ~count =
   List.iter
     (fun (sub_lba, sub_count) ->
       let fetched = Aoe_client.read t.aoe ~lba:sub_lba ~count:sub_count in
-      Array.blit fetched 0 data (sub_lba - lba) sub_count;
+      Content.blit fetched 0 data (sub_lba - lba) sub_count;
       t.stats.redirected_sectors <- t.stats.redirected_sectors + sub_count;
       (* Write back to the local disk for future use — asynchronously,
          so the guest's read does not also pay the local write. The
@@ -298,7 +298,7 @@ let redirect t g c ~lba ~count =
   List.iter
     (fun (f_lba, f_count) ->
       let local = vmm_read t ~lba:f_lba ~count:f_count in
-      Array.blit local 0 data (f_lba - lba) f_count)
+      Content.blit local 0 data (f_lba - lba) f_count)
     (filled_parts ~lba ~count empty);
   (* 3. Copy: act as a virtual DMA controller into the guest buffers. *)
   let off = ref 0 in

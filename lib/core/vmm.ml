@@ -393,7 +393,7 @@ let boot machine ~params ~server_port ?route ?on_aoe_response ?mcast_group
             t.mcast_dups <- t.mcast_dups + 1
           else begin
             let copy = Content.Scratch.alloc count in
-            Array.blit data 0 copy 0 count;
+            Content.blit data 0 copy 0 count;
             ignore (Mailbox.try_send fifo (lba, count, copy) : bool)
           end
         end);

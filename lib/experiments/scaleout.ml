@@ -326,7 +326,7 @@ let deploy_fleet ?(seed = 42) ?(image_mb = 256)
           for lba = 0 to image_sectors - 1 do
             let c = Disk.sector disk lba in
             if not (Content.equal c (Disk.sector golden lba)) then ok := false;
-            (match c with
+            (match Content.view c with
             | Content.Zero -> Buffer.add_char buf 'Z'
             | Content.Image i -> Buffer.add_string buf (Printf.sprintf "I%d;" i)
             | Content.Data d -> Buffer.add_string buf (Printf.sprintf "D%d;" d)

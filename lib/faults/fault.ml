@@ -234,7 +234,7 @@ module Invariants = struct
     let expected lba =
       match List.assoc_opt lba overrides with
       | Some c -> c
-      | None -> Content.Image lba
+      | None -> Content.image lba
     in
     let bad = ref 0 in
     let first_bad = ref (-1) in

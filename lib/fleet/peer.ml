@@ -146,7 +146,7 @@ let serve t a job =
       if off < count && a.up && a.epoch = epoch then begin
         let n = min per_frame (count - off) in
         let d = Content.Scratch.alloc n in
-        Array.blit data off d 0 n;
+        Content.blit data off d 0 n;
         if a.up && a.epoch = epoch then
           Aoe.send_wait a.port ~dst:job.src
             { hdr with

@@ -82,13 +82,13 @@ let read t ~lba ~count =
         buf.Dma.data
       end
       else begin
-        let out = Array.make count Content.Zero in
+        let out = Content.zeroes ~count in
         let rec go off =
           if off < count then begin
             let n = min max_per_command (count - off) in
             let buf = Dma.alloc dma ~sectors:n in
             one_command t `Read ~lba:(lba + off) ~count:(n land 0xFF) buf;
-            Array.blit buf.Dma.data 0 out off n;
+            Content.blit buf.Dma.data 0 out off n;
             Dma.free dma buf;
             go (off + n)
           end

@@ -165,7 +165,7 @@ let run_command t request write_data =
   let p =
     { request;
       write_data;
-      assembly = Array.make request.Aoe.count Content.Zero;
+      assembly = Content.zeroes ~count:request.Aoe.count;
       got = Array.make request.Aoe.count false;
       received = 0;
       response_lba = 0;
@@ -267,7 +267,7 @@ let query_capacity t =
 
 let read t ~lba ~count =
   if count <= 0 then invalid_arg "Aoe_client.read: count must be positive";
-  let out = Array.make count Content.Zero in
+  let out = Content.zeroes ~count in
   let rec go off =
     if off < count then begin
       let n = min t.max_read_sectors (count - off) in
@@ -283,7 +283,7 @@ let read t ~lba ~count =
           count = n }
       in
       let data = (run_command t request None).assembly in
-      Array.blit data 0 out off n;
+      Content.blit data 0 out off n;
       go (off + n)
     end
   in

@@ -192,10 +192,10 @@ let rpc c op ~lba ~count data =
   let tag = c.c_next_tag in
   c.c_next_tag <- tag + 1;
   c.ops <- c.ops + 1;
-  let result = Array.make (match op with `Read -> count | `Write -> 0) Content.Zero in
+  let result = Content.zeroes ~count:(match op with `Read -> count | `Write -> 0) in
   let done_ = Signal.Latch.create () in
   Hashtbl.replace c.c_pending tag (fun r ->
-      Array.blit r.rdata 0 result r.roff (Array.length r.rdata);
+      Content.blit r.rdata 0 result r.roff (Array.length r.rdata);
       if r.final then Signal.Latch.set done_);
   let req_bytes =
     match op with `Read -> 128 | `Write -> 128 + (count * 512)
@@ -237,7 +237,7 @@ let rec maybe_start_prefetch c =
 
 let read c ~lba ~count =
   Semaphore.with_permit c.c_lock (fun () ->
-      let out = Array.make count Content.Zero in
+      let out = Content.zeroes ~count in
       let rec go off =
         if off < count then begin
           let l = lba + off in
@@ -245,7 +245,7 @@ let read c ~lba ~count =
             (* Serve as much as possible from the cached window. *)
             let avail = c.ra_lba + Array.length c.ra_data - l in
             let n = min avail (count - off) in
-            Array.blit c.ra_data (l - c.ra_lba) out off n;
+            Content.blit c.ra_data (l - c.ra_lba) out off n;
             go (off + n)
           end
           else begin
@@ -284,7 +284,7 @@ let read c ~lba ~count =
               end;
               maybe_start_prefetch c;
               let n = min fetch want in
-              Array.blit data 0 out off n;
+              Content.blit data 0 out off n;
               go (off + n)
           end
         end

@@ -132,7 +132,7 @@ let serve t job =
         if off < hdr.Aoe.count then begin
           let n = min per_frame (hdr.Aoe.count - off) in
           let d = Content.Scratch.alloc n in
-          Array.blit data off d 0 n;
+          Content.blit data off d 0 n;
           respond t ~epoch ~dst:job.src
             { hdr with
               Aoe.is_response = true;
@@ -223,7 +223,7 @@ let multicast t ~group ~lba ~count ?(passes = 4) ?(gap = Time.ms 50) () =
         let rec stream off frag =
           if off < count && t.up && t.epoch = epoch then begin
             let n = min per_frame (count - off) in
-            let d = Array.make n Content.Zero in
+            let d = Content.zeroes ~count:n in
             (match Disk.peek_into t.disk ~lba:(lba + off) ~count:n d with
             | exception Disk.Read_error _ -> ()
             | () ->

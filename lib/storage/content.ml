@@ -1,12 +1,66 @@
-type t = Zero | Image of int | Data of int | Blob of string
+(* A sector is one immediate int: the low two bits say what it holds
+   and the bits above them carry the image LBA, the write tag or the
+   interned blob id. Zero packs to 0, so a fresh [Array.make n 0] is a
+   zeroed disk region. *)
+type t = int
 
-let equal a b =
-  match (a, b) with
-  | Zero, Zero -> true
-  | Image x, Image y -> x = y
-  | Data x, Data y -> x = y
-  | Blob x, Blob y -> String.equal x y
-  | (Zero | Image _ | Data _ | Blob _), _ -> false
+type view = Zero | Image of int | Data of int | Blob of string
+
+let kind_image = 1
+let kind_data = 2
+let kind_blob = 3
+
+(* Payloads are signed 61-bit ints, so [payload lsl 2] never wraps. *)
+let payload_limit = 1 lsl 60
+
+let pack name kind x =
+  if x < -payload_limit || x >= payload_limit then
+    invalid_arg (Printf.sprintf "Content.%s: %d does not fit in 61 bits" name x);
+  (x lsl 2) lor kind
+
+let zero = 0
+let image lba = pack "image" kind_image lba
+let data tag = pack "data" kind_data tag
+
+(* The next image sector packs to [prev + 4]; the last encodable LBA
+   has none. *)
+let continues ~prev c =
+  if prev land 3 = kind_image then c = prev + 4 && c > prev else c = prev
+
+(* Blob ids index [blob_strings]; equal strings share one id, so
+   [equal] stays int equality. Entries are never removed. *)
+let blob_ids : (string, int) Hashtbl.t = Hashtbl.create 16
+let blob_strings = ref [||]
+
+let blob s =
+  match Hashtbl.find_opt blob_ids s with
+  | Some id -> (id lsl 2) lor kind_blob
+  | None ->
+    let id = Hashtbl.length blob_ids in
+    let strings = !blob_strings in
+    if id = Array.length strings then begin
+      let grown = Array.make (max 8 (2 * id)) "" in
+      Array.blit strings 0 grown 0 id;
+      blob_strings := grown
+    end;
+    !blob_strings.(id) <- s;
+    Hashtbl.add blob_ids s id;
+    (id lsl 2) lor kind_blob
+
+let view c =
+  match c land 3 with
+  | 0 -> Zero
+  | 1 -> Image (c asr 2)
+  | 2 -> Data (c asr 2)
+  | _ -> Blob !blob_strings.(c asr 2)
+
+let of_view = function
+  | Zero -> zero
+  | Image lba -> image lba
+  | Data tag -> data tag
+  | Blob s -> blob s
+
+let equal (a : t) b = a = b
 
 let pp fmt = function
   | Zero -> Format.pp_print_string fmt "zero"
@@ -14,38 +68,31 @@ let pp fmt = function
   | Data tag -> Format.fprintf fmt "data#%d" tag
   | Blob s -> Format.fprintf fmt "blob[%d bytes]" (String.length s)
 
-(* Interned constructors. A fleet-scale run materializes the same golden
-   image sectors over and over (every replica serves the same image, and
-   every client reads it), so a direct-mapped cache of recently-built
-   [Image]/[Data] boxes turns the per-sector allocation in [Disk.peek]
-   into a lookup. Sharing is invisible to callers: contents are compared
-   structurally everywhere. *)
-let intern_slots = 65536
+(* Plain loops over an int array: no write barrier, whichever heap the
+   destination lives in. *)
+let blit (src : t array) src_off (dst : t array) dst_off len =
+  if len < 0 || src_off < 0 || src_off > Array.length src - len || dst_off < 0
+     || dst_off > Array.length dst - len
+  then invalid_arg "Content.blit";
+  if src_off < dst_off then
+    for i = len - 1 downto 0 do
+      Array.unsafe_set dst (dst_off + i) (Array.unsafe_get src (src_off + i))
+    done
+  else
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst (dst_off + i) (Array.unsafe_get src (src_off + i))
+    done
 
-let image_cache : t array = Array.make intern_slots Zero
-let data_cache : t array = Array.make intern_slots Zero
-
-let image lba =
-  let slot = lba land (intern_slots - 1) in
-  match Array.unsafe_get image_cache slot with
-  | Image l as c when l = lba -> c
-  | _ ->
-    let c = Image lba in
-    Array.unsafe_set image_cache slot c;
-    c
-
-let data tag =
-  let slot = tag land (intern_slots - 1) in
-  match Array.unsafe_get data_cache slot with
-  | Data t as c when t = tag -> c
-  | _ ->
-    let c = Data tag in
-    Array.unsafe_set data_cache slot c;
-    c
+let fill (a : t array) off len (c : t) =
+  if len < 0 || off < 0 || off > Array.length a - len then
+    invalid_arg "Content.fill";
+  for i = off to off + len - 1 do
+    Array.unsafe_set a i c
+  done
 
 (* Size-bucketed free lists of sector-content scratch arrays, shared
    process-wide (pool state never influences simulated values — arrays
-   are cleared to [Zero] on release, exactly what [Array.make] would
+   are cleared to [zero] on release, exactly what [Array.make] would
    yield — so determinism across runs and sims is untouched). AoE read
    streaming allocates and frees one fragment-sized array per frame;
    without reuse that is a dominant allocation site at fleet scale. *)
@@ -88,13 +135,13 @@ module Scratch = struct
         b.stack.(n) <- empty;
         a
       end
-      else Array.make len Zero
+      else Array.make len zero
     end
 
   let release a =
     let len = Array.length a in
     if len > 0 then begin
-      Array.fill a 0 len Zero;
+      fill a 0 len zero;
       let b = bucket len in
       if b.n = Array.length b.stack then begin
         let grown = Array.make (max 8 (2 * b.n)) empty in
@@ -115,10 +162,10 @@ let fresh_tag () =
   incr tag_counter;
   !tag_counter
 
-let image_sectors ~lba ~count = Array.init count (fun i -> Image (lba + i))
+let image_sectors ~lba ~count = Array.init count (fun i -> image (lba + i))
 
 let data_sectors ~count =
   let tag = fresh_tag () in
-  Array.make count (Data tag)
+  Array.make count (data tag)
 
-let zeroes ~count = Array.make count Zero
+let zeroes ~count = Array.make count zero

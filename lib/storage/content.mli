@@ -6,9 +6,19 @@
     correctness properties checkable — e.g. "after deployment every
     sector equals the server image except where the guest wrote"
     (§3.1/Figure 1d) and "a late background-copy fill must never clobber
-    a newer guest write" (§3.3's bitmap consistency argument). *)
+    a newer guest write" (§3.3's bitmap consistency argument).
 
-type t =
+    A sector is an immediate int, so a [t array] (a DMA buffer, an AoE
+    fragment, a disk read) is a flat int array: building one allocates
+    no block per sector, and storing into one needs no write barrier.
+    Code that looks inside a sector matches on its {!view}. *)
+
+type t = private int
+(** A two-bit kind over a 61-bit payload: the image LBA, the write tag,
+    or an interned blob id. Two sectors are {!equal} iff their views
+    are structurally equal. *)
+
+type view =
   | Zero  (** never written; a fresh local disk *)
   | Image of int  (** sector [lba] of the golden image *)
   | Data of int  (** guest-written data, identified by a unique tag *)
@@ -16,21 +26,47 @@ type t =
       (** actual bytes, for the rare data whose contents matter to the
           simulation itself (e.g. the VMM's persisted fill bitmap) *)
 
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
+val zero : t
 
 val image : int -> t
-(** Interned [Image lba]: hot constructors come from a process-wide
-    cache so repeated materialization of the same sector (every replica
-    serving the golden image) allocates nothing. Structurally identical
-    to [Image lba]. *)
+(** Sector [lba] of the image. Raises [Invalid_argument] unless
+    [-2{^60} <= lba < 2{^60}]. *)
 
 val data : int -> t
-(** Interned [Data tag]; see {!image}. *)
+(** Guest data with write tag [tag]; same range as {!image}. *)
+
+val blob : string -> t
+(** Interned bytes: equal strings give equal sectors. The intern table
+    is process-wide and only grows; blobs are only the VMM's saved fill
+    bitmap, one 512-byte string per distinct sector ever saved. *)
+
+val continues : prev:t -> t -> bool
+(** [continues ~prev c]: [c] extends a run of sectors that ends in
+    [prev]: it is the same sector, or the next image sector. *)
+
+val view : t -> view
+val of_view : view -> t
+(** [view (of_view v) = v]; raises as {!image}/{!data} do. *)
+
+val equal : t -> t -> bool
+val pp : Format.formatter -> view -> unit
+
+(** {2 Copies}
+
+    [Array.blit] and [Array.fill] write every element through the write
+    barrier when the destination is in the major heap, even an int
+    array; these are plain loops. Data-path copies go through them. *)
+
+val blit : t array -> int -> t array -> int -> int -> unit
+(** As [Array.blit], overlapping windows included. Raises
+    [Invalid_argument] for the windows [Array.blit] rejects. *)
+
+val fill : t array -> int -> int -> t -> unit
+(** As [Array.fill]. *)
 
 (** Pooled sector-content scratch arrays for request-scoped buffers
     (AoE fragments, whole-command reads, DMA staging). [alloc n] yields
-    an all-[Zero] array of length [n] exactly like [Array.make]; the
+    an all-{!zero} array of length [n] exactly like [Array.make]; the
     owner hands it back with [release] once no live reference remains —
     the array is cleared and reused. Dropping a scratch array to the GC
     instead of releasing is always safe, merely unpooled. *)

@@ -135,10 +135,9 @@ let check_span t ~lba ~count =
 
 (* Materialize into a caller-owned buffer (often a [Content.Scratch]
    array): the hot read paths stage sectors through here without a fresh
-   array per call, and the interned constructors keep the per-sector
-   boxes shared. The buffer region must be all-[Zero] on entry (scratch
-   arrays and fresh arrays both are); unmapped runs are skipped, not
-   stored. *)
+   array per call. The buffer region must be all-[zero] on entry
+   (scratch arrays and fresh arrays both are); unmapped runs are
+   skipped, not stored. *)
 let peek_into t ~lba ~count out =
   check_span t ~lba ~count;
   if count > Array.length out then invalid_arg "Disk.peek_into: buffer too short";
@@ -151,33 +150,15 @@ let peek_into t ~lba ~count out =
            for i = 0 to n - 1 do
              out.(sub - lba + i) <- Content.image (sub + i + delta)
            done
-         | Some (Tag tag) ->
-           let c = Content.data tag in
-           for i = 0 to n - 1 do
-             out.(sub - lba + i) <- c
-           done
-         | Some (Blob1 s) ->
-           let c = Content.Blob s in
-           for i = 0 to n - 1 do
-             out.(sub - lba + i) <- c
-           done)
+         | Some (Tag tag) -> Content.fill out (sub - lba) n (Content.data tag)
+         | Some (Blob1 s) -> Content.fill out (sub - lba) n (Content.blob s))
       : unit)
 
 let peek t ~lba ~count =
   check_span t ~lba ~count;
-  let out = Array.make count Content.Zero in
+  let out = Content.zeroes ~count in
   peek_into t ~lba ~count out;
-  out
-
-(* Sector [i] of a write continues the run holding sector [i - 1]: the
-   same content, or the next image sector. *)
-let continues_run data i =
-  match (data.(i - 1), data.(i)) with
-  | Content.Zero, Content.Zero -> true
-  | Content.Image a, Content.Image b -> b = a + 1
-  | Content.Data a, Content.Data b -> a = b
-  | Content.Blob a, Content.Blob b -> String.equal a b
-  | (Content.Zero | Image _ | Data _ | Blob _), _ -> false
+  Array.map Content.view out
 
 (* Split written data into uniform runs so extents stay compact. *)
 let poke t ~lba ~count data =
@@ -187,11 +168,13 @@ let poke t ~lba ~count data =
   let start = ref 0 in
   while !start < count do
     let finish = ref (!start + 1) in
-    while !finish < count && continues_run data !finish do
+    while
+      !finish < count && Content.continues ~prev:data.(!finish - 1) data.(!finish)
+    do
       incr finish
     done;
     let v =
-      match data.(!start) with
+      match Content.view data.(!start) with
       | Content.Zero -> Zeros
       | Content.Image img_lba -> Img (img_lba - (lba + !start))
       | Content.Data tag -> Tag tag
@@ -201,7 +184,10 @@ let poke t ~lba ~count data =
     start := !finish
   done
 
-let sector t lba = (peek t ~lba ~count:1).(0)
+let sector t lba =
+  let out = Content.zeroes ~count:1 in
+  peek_into t ~lba ~count:1 out;
+  out.(0)
 
 let mapped_sectors_in t ~lba ~count =
   Extent_map.covered_range t.extents ~lba ~count
@@ -285,7 +271,9 @@ let read_service t ~lba ~count =
 
 let read t ~lba ~count =
   read_service t ~lba ~count;
-  peek t ~lba ~count
+  let out = Content.zeroes ~count in
+  peek_into t ~lba ~count out;
+  out
 
 let read_into t ~lba ~count out =
   read_service t ~lba ~count;

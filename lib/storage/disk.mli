@@ -47,8 +47,8 @@ val write : t -> lba:int -> count:int -> Content.t array -> unit
 val read_into : t -> lba:int -> count:int -> Content.t array -> unit
 (** {!read}, staged into a caller-owned buffer (typically a
     [Content.Scratch] array) instead of a fresh allocation. The first
-    [count] slots must be [Zero] on entry; unmapped sectors are left
-    untouched. *)
+    [count] slots must be {!Content.zero} on entry; unmapped sectors are
+    left untouched. *)
 
 (** {2 Fault injection (hook points for {!Bmcast_faults.Fault})} *)
 
@@ -72,11 +72,14 @@ val service_time :
 
 (** {2 Instant access (tests, image preloading, assertions)} *)
 
-val peek : t -> lba:int -> count:int -> Content.t array
+val peek : t -> lba:int -> count:int -> Content.view array
+(** The sectors' views, for code that matches on them. *)
+
 val poke : t -> lba:int -> count:int -> Content.t array -> unit
 
-(** [peek_into t ~lba ~count buf] is {!peek} into a caller-owned
-    all-[Zero] buffer; see {!read_into}. *)
+(** [peek_into t ~lba ~count buf] stores the sectors into a caller-owned
+    all-{!Content.zero} buffer, allocating nothing per sector; see
+    {!read_into}. *)
 val peek_into : t -> lba:int -> count:int -> Content.t array -> unit
 val sector : t -> int -> Content.t
 

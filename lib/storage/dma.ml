@@ -20,7 +20,7 @@ let alloc t ~sectors =
   let addr = t.next_addr in
   (* Keep addresses sector-aligned and non-overlapping. *)
   t.next_addr <- t.next_addr + (sectors * 512);
-  let buf = { addr; data = Array.make sectors Content.Zero } in
+  let buf = { addr; data = Content.zeroes ~count:sectors } in
   Bufs.replace t.bufs addr buf;
   buf
 
@@ -35,7 +35,7 @@ let free t buf = Bufs.remove t.bufs buf.addr
 let write buf ~off src =
   if off < 0 || off + Array.length src > Array.length buf.data then
     invalid_arg "Dma.write: out of bounds";
-  Array.blit src 0 buf.data off (Array.length src)
+  Content.blit src 0 buf.data off (Array.length src)
 
 (* Slice-aware copies so hot paths need not materialize a sub-array per
    PRD entry. *)
@@ -43,10 +43,10 @@ let blit_to buf ~off src ~src_off ~count =
   if off < 0 || count < 0 || off + count > Array.length buf.data
      || src_off < 0 || src_off + count > Array.length src
   then invalid_arg "Dma.blit_to: out of bounds";
-  Array.blit src src_off buf.data off count
+  Content.blit src src_off buf.data off count
 
 let blit_from buf ~off dst ~dst_off ~count =
   if off < 0 || count < 0 || off + count > Array.length buf.data
      || dst_off < 0 || dst_off + count > Array.length dst
   then invalid_arg "Dma.blit_from: out of bounds";
-  Array.blit buf.data off dst dst_off count
+  Content.blit buf.data off dst dst_off count

@@ -66,7 +66,7 @@ let test_kvm_remote_backend_reads_server () =
               (Content.image_sectors ~lba:777 ~count:8));
          (* The local disk stays untouched: no deployment happened. *)
          check_bool "local disk empty" true
-           (Content.equal (Disk.sector m.Machine.disk 777) Content.Zero)))
+           (Content.equal (Disk.sector m.Machine.disk 777) Content.zero)))
 
 let test_kvm_host_steals_cores () =
   ignore
@@ -117,7 +117,7 @@ let test_image_copy_deploys_full_image () =
   (* Every sector of the image landed on the local disk. *)
   let ok = ref true in
   for lba = 0 to env.Stacks.image_sectors - 1 do
-    if not (Content.equal (Disk.sector m.Machine.disk lba) (Content.Image lba))
+    if not (Content.equal (Disk.sector m.Machine.disk lba) (Content.image lba))
     then ok := false
   done;
   check_bool "disk equals image" true !ok
@@ -165,7 +165,7 @@ let test_netboot_serves_without_local_disk () =
            (Array.for_all2 Content.equal data
               (Content.image_sectors ~lba:123 ~count:8));
          check_bool "local disk untouched" true
-           (Content.equal (Disk.sector m.Machine.disk 123) Content.Zero)))
+           (Content.equal (Disk.sector m.Machine.disk 123) Content.zero)))
 
 let test_netboot_slower_than_local () =
   let local, net =
