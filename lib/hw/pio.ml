@@ -25,12 +25,14 @@ let map t ~base ~count handler =
     t.ranges;
   t.ranges <- { base; count; device = handler; interposer = None } :: t.ranges
 
+(* Closed over nothing, so a lookup allocates no closure. *)
 let find_range t port =
-  match
-    List.find_opt (fun r -> port >= r.base && port < r.base + r.count) t.ranges
-  with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Pio: unmapped port 0x%x" port)
+  let rec go port = function
+    | r :: rest ->
+      if port >= r.base && port < r.base + r.count then r else go port rest
+    | [] -> invalid_arg (Printf.sprintf "Pio: unmapped port 0x%x" port)
+  in
+  go port t.ranges
 
 let find_by_base t base =
   match List.find_opt (fun r -> r.base = base) t.ranges with
