@@ -31,35 +31,3 @@ module Latch = struct
           f ();
           true)
 end
-
-module Pulse = struct
-  type t = {
-    waiters : (unit -> bool) Ring.t;
-    mutable reg : (unit -> bool) -> unit;
-  }
-
-  let no_reg (_ : unit -> bool) = ()
-
-  let create () =
-    let t = { waiters = Ring.create (); reg = no_reg } in
-    t.reg <- (fun w -> Ring.push t.waiters w);
-    t
-
-  let pulse t =
-    (* Snapshot the count first: a woken process may park on the pulse
-       again immediately, and it must then wait for the NEXT pulse. *)
-    let n = Ring.length t.waiters in
-    for _ = 1 to n do
-      ignore ((Ring.pop t.waiters) () : bool)
-    done
-
-  let wait t = Sim.park t.reg
-
-  let wait_timeout t timeout =
-    let sim = Sim.self () in
-    Sim.suspend (fun waker ->
-        Ring.push t.waiters (fun () -> waker true);
-        Sim.schedule sim
-          (Time.add (Sim.now sim) timeout)
-          (fun () -> ignore (waker false : bool)))
-end

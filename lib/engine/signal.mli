@@ -1,4 +1,5 @@
-(** Broadcast signals and one-shot latches for simulation processes. *)
+(** One-shot latches for simulation processes. To wait for a condition
+    many processes share, use {!Sim.wait_queue}. *)
 
 (** A level-triggered latch: once [set], all current and future waiters
     pass immediately. *)
@@ -15,19 +16,4 @@ module Latch : sig
   val on_set : t -> (unit -> unit) -> unit
   (** Run a callback when the latch is set (immediately if it already
       is). Callable from any context. *)
-end
-
-(** An edge-triggered broadcast: [wait] blocks until the {e next} [pulse],
-    regardless of past pulses. *)
-module Pulse : sig
-  type t
-
-  val create : unit -> t
-  val pulse : t -> unit
-
-  val wait : t -> unit
-  (** Block until the next pulse (process context). *)
-
-  val wait_timeout : t -> Time.span -> bool
-  (** [true] if pulsed before the timeout. *)
 end

@@ -45,6 +45,7 @@ and effs = {
   h_sleep : ((unit, unit) Effect.Deep.continuation -> unit) option;
   h_clock : ((Time.t, unit) Effect.Deep.continuation -> unit) option;
   h_park : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  h_wait : ((unit, unit) Effect.Deep.continuation -> unit) option;
   mutable spawn_name : string option;
   mutable spawn_body : unit -> unit;
   h_spawn : ((unit, unit) Effect.Deep.continuation -> unit) option;
@@ -53,7 +54,7 @@ and effs = {
 
 exception Process_failure of string * exn
 
-(* The two hottest effects are constant constructors: performing one
+(* The hottest effects are constant constructors: performing one
    allocates nothing for the effect value itself. Their payloads ride in
    the module-level cells below, written immediately before [perform] and
    read inside the (synchronously invoked) handler — safe on a single
@@ -63,12 +64,19 @@ type _ Effect.t +=
   | Clock : Time.t Effect.t
   | Suspend : (('a -> bool) -> unit) -> 'a Effect.t
   | Park : unit Effect.t
+  | Wait : unit Effect.t
   | Spawn : string option * (unit -> unit) -> unit Effect.t
   | Self : t Effect.t
 
 let no_park (_ : unit -> bool) = ()
 let sleep_cell : Time.span ref = ref 0
 let park_cell : ((unit -> bool) -> unit) ref = ref no_park
+
+(* [Wait]'s payload: the parked FIFO of the queue being waited on. *)
+type waiters = (unit, unit) Effect.Deep.continuation Ring.t
+
+let no_waiters : waiters = Ring.create ()
+let wait_cell = ref no_waiters
 
 let create_base ?(seed = 42) ?(trace = Trace.null) ?(metrics = Metrics.null)
     ?(profile = Profile.null) () =
@@ -179,6 +187,12 @@ let make_effs sim =
                   Trace.instant sim.trace_ ~cat:"sim" "wake";
                 push_job sim sim.clock (Job_k k);
                 true));
+      h_wait =
+        Some
+          (fun k ->
+            let parked = !wait_cell in
+            wait_cell := no_waiters;
+            Ring.push parked k);
       spawn_name = None;
       spawn_body = no_body;
       h_spawn =
@@ -239,6 +253,7 @@ let rec exec_process sim name f =
                 in
                 register waker)
           | Park -> ((effs sim).h_park : ((a, unit) continuation -> unit) option)
+          | Wait -> ((effs sim).h_wait : ((a, unit) continuation -> unit) option)
           | Spawn (child_name, body) ->
             let e = effs sim in
             e.spawn_name <- child_name;
@@ -327,6 +342,45 @@ let sleep_job j d =
     j.slept_at <- sim.clock;
   push_job sim at j.entry
 
+(* Condition wait queues: processes blocked until a predicate holds (a
+   socket buffer with room, an available core). A parked process costs
+   only the continuation its [Wait] captured. [wake_all] moves every
+   parked continuation to [woken] and pushes the queue's one prebuilt
+   [recheck] entry once per continuation; entries pushed at one time run
+   in push order, so the n-th to run takes the n-th woken continuation.
+   The re-check resumes it if the predicate holds and otherwise parks it
+   again at the tail, where the process's own second wait would have
+   put it, without resuming it. *)
+type wait_queue = {
+  sim : t;
+  ready : unit -> bool;
+  parked : waiters;
+  woken : waiters;
+  recheck : event;
+}
+
+let recheck q =
+  let k = Ring.pop q.woken in
+  if q.ready () then Effect.Deep.continue k () else Ring.push q.parked k
+
+let wait_queue sim ready =
+  let parked = Ring.create () and woken = Ring.create () in
+  let rec q =
+    { sim; ready; parked; woken; recheck = Job_fn (fun () -> recheck q) }
+  in
+  q
+
+(* Records what the wakers of [park] record: a sampled wake instant per
+   process, nothing at park or re-park. *)
+let wake_all q =
+  let sim = q.sim in
+  for _ = 1 to Ring.length q.parked do
+    Ring.push q.woken (Ring.pop q.parked);
+    if sim.trace_sim && Trace.sample sim.trace_ ~cat:"sim" then
+      Trace.instant sim.trace_ ~cat:"sim" "wake";
+    push_job sim sim.clock q.recheck
+  done
+
 let request_stop sim = sim.stop_requested <- true
 
 let run ?until sim =
@@ -382,6 +436,13 @@ let suspend register = Effect.perform (Suspend register)
 let park register =
   park_cell := register;
   Effect.perform Park
+
+let wait q =
+  if not (q.ready ()) then begin
+    wait_cell := q.parked;
+    Effect.perform Wait
+  end
+
 let spawn ?name f = Effect.perform (Spawn (name, f))
 let self () = Effect.perform Self
 

@@ -113,6 +113,30 @@ val sleep_job : job -> Time.span -> unit
 (** Queue the job after a delay (clamped at 0): what {!sleep} records
     (a sampled ["sim"]/["sleep"] span, closed when the job runs). *)
 
+(** {1 Condition wait queues}
+
+    A wait queue holds processes blocked until its predicate holds. It is
+    the engine's one way to wait for a condition that many processes
+    share. Blocked processes are admitted first in, first out. A woken
+    process is re-checked without being resumed: only one whose
+    predicate holds at its re-check runs past {!wait}. *)
+
+type wait_queue
+
+val wait_queue : t -> (unit -> bool) -> wait_queue
+(** [wait_queue sim ready] is an empty queue whose predicate is
+    [ready]. [ready] runs at {!wait} and at each re-check, outside any
+    process: it must not block or perform any other effect. *)
+
+val wake_all : wait_queue -> unit
+(** Queue one re-check at the current time for each process parked on
+    the queue, oldest first, recording for each what waking a parked
+    process records (a sampled ["sim"]/["wake"] instant). A re-check
+    resumes its process if the predicate holds and otherwise parks it
+    again at the tail of the queue, recording nothing. A wake with
+    nothing parked queues nothing and is not remembered. Callable from
+    any context. *)
+
 (** {1 Inside a process}
 
     The following must be called from within a process spawned on the
@@ -136,12 +160,19 @@ val suspend : (('a -> bool) -> unit) -> 'a
     wins. *)
 
 val park : ((unit -> bool) -> unit) -> unit
-(** Value-free [suspend], tuned for the mailbox/signal hot path: the
+(** Value-free [suspend], tuned for the mailbox/latch hot path: the
     waker carries no payload (the sleeper re-checks its queue on resume,
     treating the wake as a hint), which lets the engine resume it
     through the same zero-alloc [Job_k] path as a sleep instead of a
     boxed value hand-off. Same first-caller-wins waker contract as
     [suspend]. *)
+
+val wait : wait_queue -> unit
+(** [wait q] returns at once if [q]'s predicate holds. Otherwise it
+    parks the process at the tail of [q] until a re-check after
+    {!wake_all} finds the predicate true; the predicate holds when
+    [wait] returns. Parking allocates only the captured continuation,
+    and a re-check that parks again allocates nothing. *)
 
 val spawn : ?name:string -> (unit -> unit) -> unit
 (** Start a sibling process at the current time. *)

@@ -1,6 +1,5 @@
 module Sim = Bmcast_engine.Sim
 module Time = Bmcast_engine.Time
-module Signal = Bmcast_engine.Signal
 
 type exit_reason =
   | Pio
@@ -22,8 +21,8 @@ let exit_index = function
 
 type core = {
   sim : Sim.t;
-  mutable unavailable_until : Time.t;
-  available_pulse : Signal.Pulse.t;
+  unavailable_until : Time.t ref;  (* shared with [available]'s predicate *)
+  available : Sim.wait_queue;  (* [run]s stalled until the core is available *)
   mutable stall_time : Time.span;
   mutable wakeup_armed : bool;
   mutable interference_seen : bool;
@@ -39,9 +38,10 @@ type t = {
 let create sim ~cores =
   if cores <= 0 then invalid_arg "Cpu.create: cores must be positive";
   let mk _ =
+    let until = ref Time.zero in
     { sim;
-      unavailable_until = Time.zero;
-      available_pulse = Signal.Pulse.create ();
+      unavailable_until = until;
+      available = Sim.wait_queue sim (fun () -> Sim.now sim >= !until);
       stall_time = 0;
       wakeup_armed = false;
       interference_seen = false }
@@ -58,22 +58,22 @@ let core t i =
     invalid_arg (Printf.sprintf "Cpu.core: no core %d" i);
   t.cores_arr.(i)
 
-let is_available (c : core) = Sim.now c.sim >= c.unavailable_until
+let is_available (c : core) = Sim.now c.sim >= !(c.unavailable_until)
 
-(* Arrange a pulse when the core becomes available again; idempotent for
-   a given deadline extension (re-arms if the window was extended). *)
+(* Arrange a wake-up when the core becomes available again; idempotent
+   for a given deadline extension (re-arms if the window was extended). *)
 let arm_wakeup (c : core) =
   if not c.wakeup_armed then begin
     c.wakeup_armed <- true;
     let rec fire_at deadline =
       Sim.schedule c.sim deadline (fun () ->
-          if Sim.now c.sim >= c.unavailable_until then begin
+          if is_available c then begin
             c.wakeup_armed <- false;
-            Signal.Pulse.pulse c.available_pulse
+            Sim.wake_all c.available
           end
-          else fire_at c.unavailable_until)
+          else fire_at !(c.unavailable_until))
     in
-    fire_at c.unavailable_until
+    fire_at !(c.unavailable_until)
   end
 
 let enable_interference t =
@@ -82,8 +82,8 @@ let enable_interference t =
 let set_unavailable_until (c : core) until =
   if not c.interference_seen then
     invalid_arg "Cpu.set_unavailable_until: call enable_interference first";
-  if until > c.unavailable_until then begin
-    c.unavailable_until <- until;
+  if until > !(c.unavailable_until) then begin
+    c.unavailable_until := until;
     arm_wakeup c
   end
 
@@ -104,7 +104,7 @@ let run (c : core) span =
       end
       else begin
         let stall_start = Sim.clock () in
-        Signal.Pulse.wait c.available_pulse;
+        Sim.wait c.available;
         c.stall_time <- c.stall_time + Time.diff (Sim.clock ()) stall_start;
         loop remaining
       end

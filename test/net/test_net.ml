@@ -369,6 +369,44 @@ let test_ib_bytes_counted () =
 (* A rejected send must not open (and leak) a profiler scope: the old
    code entered "net.send" before validating, so the [invalid_arg] path
    left the scope on the stack and poisoned every later attribution. *)
+let test_fabric_send_wait_admits_one_per_frame () =
+  (* Nine frames: the uplink takes the first, and the other eight fill
+     the socket buffer. Three senders block in order while the first
+     frame crosses the switch, before the uplink takes the second. *)
+  let sim = Sim.create () in
+  let fab = Fabric.create sim () in
+  let arrived = ref [] in
+  let dst =
+    Fabric.attach fab ~name:"dst" (fun f ->
+        match f.Packet.payload with
+        | Packet.Raw s -> arrived := s :: !arrived
+        | _ -> ())
+  in
+  let src = Fabric.attach fab ~name:"src" (fun _ -> ()) in
+  Sim.spawn_at sim Time.zero (fun () ->
+      for i = 1 to 9 do
+        Fabric.send src ~dst:(Fabric.port_id dst) ~size_bytes:1000
+          (Packet.Raw (string_of_int i))
+      done);
+  let admitted = ref [] in
+  List.iter
+    (fun name ->
+      Sim.spawn_at sim (Time.us 18) (fun () ->
+          Fabric.send_wait src ~dst:(Fabric.port_id dst) ~size_bytes:1000
+            (Packet.Raw name);
+          (* Frames that have left the wire when this sender got in. *)
+          admitted := (name, Fabric.port_bytes_out src / 1000) :: !admitted))
+    [ "a"; "b"; "c" ];
+  Sim.run sim;
+  Alcotest.(check (list (pair string int)))
+    "one admitted per frame that leaves, in blocking order"
+    [ ("a", 2); ("b", 3); ("c", 4) ]
+    (List.rev !admitted);
+  Alcotest.(check (list string))
+    "frames reach the switch in that order"
+    [ "1"; "2"; "3"; "4"; "5"; "6"; "7"; "8"; "9"; "a"; "b"; "c" ]
+    (List.rev !arrived)
+
 let test_fabric_send_invalid_keeps_profiler_balanced () =
   let prof = Bmcast_obs.Profile.create () in
   let sim = Sim.create ~profile:prof () in
@@ -692,6 +730,8 @@ let () =
           tc "nic stall delays delivery" `Quick
             test_fabric_nic_stall_delays_delivery;
           tc "contention shares egress" `Quick test_fabric_contention_shares_egress;
+          tc "send_wait admits one per drained frame" `Quick
+            test_fabric_send_wait_admits_one_per_frame;
           tc "send validation keeps profiler balanced" `Quick
             test_fabric_send_invalid_keeps_profiler_balanced;
           tc "set_loss_rate resets gilbert state" `Quick
