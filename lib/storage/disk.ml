@@ -54,6 +54,7 @@ type read_fault = {
 
 type t = {
   sim : Sim.t;
+  traced : bool;  (* [Trace.on] for "storage", resolved once at create *)
   profile : profile;
   extents : run Extent_map.t;
   prng : Prng.t;
@@ -72,6 +73,7 @@ type t = {
 
 let create sim profile =
   { sim;
+    traced = Trace.on (Sim.trace sim) ~cat:"storage";
     profile;
     extents = Extent_map.create ();
     prng = Prng.split (Sim.rand sim);
@@ -248,11 +250,10 @@ let serve t op ~lba ~count =
     end
   end;
   t.busy_time <- t.busy_time + span;
-  let tr = Sim.trace t.sim in
-  if Trace.on tr ~cat:"storage" then begin
+  if t.traced then begin
     let ts = Sim.now t.sim in
     Sim.sleep span;
-    Trace.complete tr ~cat:"storage"
+    Trace.complete (Sim.trace t.sim) ~cat:"storage"
       ~args:
         [ ("lba", Trace.Int lba);
           ("count", Trace.Int count);
