@@ -12,8 +12,9 @@ exception Target_error of string
 type pending = {
   request : Aoe.header;
   write_data : Content.t array option;  (* resent on retry *)
-  assembly : Content.t array;  (* read reassembly buffer *)
-  got : bool array;  (* per-sector arrival, robust to duplicates *)
+  out : Content.t array;  (* a read's fragments land here, in place *)
+  out_off : int;  (* where the command's first sector lands in [out] *)
+  got : Bytes.t;  (* one byte per sector: arrival, robust to duplicates *)
   mutable received : int;
   mutable response_lba : int;  (* Query_config answer *)
   mutable failed : bool;  (* target answered with the error flag *)
@@ -25,6 +26,15 @@ let major = 0
 let minor = 0
 let max_retries = 10
 
+(* Pending commands by tag. Tags are small ints: hashing one as itself
+   keeps the per-fragment lookup off [caml_hash] and [compare_val]. *)
+module Tags = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash tag = tag
+end)
+
 type t = {
   sim : Sim.t;
   send : Aoe.header -> Content.t array -> unit;
@@ -33,7 +43,7 @@ type t = {
   timeout : Time.span;
   max_read_sectors : int;
   mutable next_tag : int;
-  pending : (int, pending) Hashtbl.t;
+  pending : pending Tags.t;
   mutable retransmits : int;
   mutable requests_sent : int;
   mutable escalation : (attempts:int -> Aoe.header -> [ `Retry | `Fail ]) option;
@@ -54,7 +64,7 @@ let create sim ~send ?owner ?(mtu = 9000) ?(timeout = Time.ms 20)
     timeout;
     max_read_sectors;
     next_tag = 1;
-    pending = Hashtbl.create 32;
+    pending = Tags.create 32;
     retransmits = 0;
     requests_sent = 0;
     escalation = None;
@@ -70,7 +80,7 @@ let mcast_frames t = t.mcast_frames
 let set_escalation t f = t.escalation <- Some f
 let escalations t = t.escalations
 let completions t = t.completions
-let pending_count t = Hashtbl.length t.pending
+let pending_count t = Tags.length t.pending
 
 let fresh_tag t =
   let tag = t.next_tag in
@@ -80,7 +90,7 @@ let fresh_tag t =
 (* This client is the final consumer of a read-response fragment's data
    array (vblade allocates it from [Content.Scratch] and the fabric only
    recycles frame records, not payloads): once the sectors are copied
-   into the reassembly buffer — or the fragment is recognized as a stale
+   into the read's output array — or the fragment is recognized as a stale
    duplicate — the array goes back to the pool. *)
 let release_data frame =
   if Array.length frame.Aoe.data > 0 then
@@ -104,11 +114,11 @@ let on_frame_inner t frame =
       | _ -> ()
     end
     else
-    match Hashtbl.find_opt t.pending hdr.Aoe.tag with
+    match Tags.find_opt t.pending hdr.Aoe.tag with
     | None -> release_data frame  (* stale duplicate after completion *)
     | Some p when hdr.Aoe.error ->
       p.failed <- true;
-      Hashtbl.remove t.pending hdr.Aoe.tag;
+      Tags.remove t.pending hdr.Aoe.tag;
       t.completions <- t.completions + 1;
       Signal.Latch.set p.done_
     | Some p ->
@@ -117,12 +127,12 @@ let on_frame_inner t frame =
       | Aoe.Ata_read ->
         let off = hdr.Aoe.lba - base in
         let n = Array.length frame.Aoe.data in
-        (if off < 0 || off + n > Array.length p.assembly then ()
+        (if off < 0 || off + n > p.request.Aoe.count then ()
          else
            for i = 0 to n - 1 do
-             if not p.got.(off + i) then begin
-               p.got.(off + i) <- true;
-               p.assembly.(off + i) <- frame.Aoe.data.(i);
+             if Bytes.get p.got (off + i) = '\000' then begin
+               Bytes.set p.got (off + i) '\001';
+               p.out.(p.out_off + off + i) <- frame.Aoe.data.(i);
                p.received <- p.received + 1
              end
            done);
@@ -134,7 +144,7 @@ let on_frame_inner t frame =
         p.response_lba <- hdr.Aoe.lba;
         if p.received = 0 then p.received <- p.request.Aoe.count);
       if p.received >= p.request.Aoe.count then begin
-        Hashtbl.remove t.pending hdr.Aoe.tag;
+        Tags.remove t.pending hdr.Aoe.tag;
         t.completions <- t.completions + 1;
         Signal.Latch.set p.done_
       end
@@ -156,8 +166,8 @@ let command_name = function
   | Aoe.Query_config -> "query-config"
 
 (* Issue one command and block until fully answered, retrying on
-   timeout. *)
-let run_command t request write_data =
+   timeout. A read's sectors land in [out] from [out_off] on. *)
+let run_command t request write_data ~out ~out_off =
   let tr = Sim.trace t.sim in
   let traced = Trace.on tr ~cat:"aoe" in
   let start = Sim.now t.sim in
@@ -165,17 +175,18 @@ let run_command t request write_data =
   let p =
     { request;
       write_data;
-      assembly = Content.zeroes ~count:request.Aoe.count;
-      got = Array.make request.Aoe.count false;
+      out;
+      out_off;
+      got = Bytes.make request.Aoe.count '\000';
       received = 0;
       response_lba = 0;
       failed = false;
       done_ = Signal.Latch.create () }
   in
-  Hashtbl.replace t.pending request.Aoe.tag p;
+  Tags.replace t.pending request.Aoe.tag p;
   let payload = Option.value write_data ~default:[||] in
   let give_up () =
-    Hashtbl.remove t.pending request.Aoe.tag;
+    Tags.remove t.pending request.Aoe.tag;
     raise
       (Timeout
          (Printf.sprintf "AoE command tag=%d lba=%d count=%d"
@@ -263,7 +274,7 @@ let query_capacity t =
       lba = 0;
       count = 1 }
   in
-  (run_command t request None).response_lba
+  (run_command t request None ~out:[||] ~out_off:0).response_lba
 
 let read t ~lba ~count =
   if count <= 0 then invalid_arg "Aoe_client.read: count must be positive";
@@ -282,8 +293,7 @@ let read t ~lba ~count =
           lba = lba + off;
           count = n }
       in
-      let data = (run_command t request None).assembly in
-      Content.blit data 0 out off n;
+      ignore (run_command t request None ~out ~out_off:off : pending);
       go (off + n)
     end
   in
@@ -309,7 +319,10 @@ let write t ~lba ~count data =
           lba = lba + off;
           count = n }
       in
-      ignore (run_command t request (Some (Array.sub data off n)) : pending);
+      ignore
+        (run_command t request (Some (Array.sub data off n)) ~out:[||]
+           ~out_off:0
+          : pending);
       go (off + n)
     end
   in

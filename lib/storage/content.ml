@@ -99,7 +99,16 @@ let fill (a : t array) off len (c : t) =
 module Scratch = struct
   type bucket = { mutable stack : t array array; mutable n : int }
 
-  let buckets : (int, bucket) Hashtbl.t = Hashtbl.create 16
+  (* Buckets by array length, hashed as itself: a lookup calls neither
+     [caml_hash] nor [compare_val]. *)
+  module Lengths = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash len = len
+  end)
+
+  let buckets : bucket Lengths.t = Lengths.create 16
   let empty : t array = [||]
 
   (* One-entry memo: steady-state traffic uses very few distinct sizes
@@ -111,11 +120,11 @@ module Scratch = struct
     if !mutable_len = len then !mutable_bucket
     else begin
       let b =
-        match Hashtbl.find_opt buckets len with
+        match Lengths.find_opt buckets len with
         | Some b -> b
         | None ->
           let b = { stack = [||]; n = 0 } in
-          Hashtbl.add buckets len b;
+          Lengths.add buckets len b;
           b
       in
       mutable_len := len;
@@ -153,7 +162,7 @@ module Scratch = struct
     end
 
   let free_count len =
-    match Hashtbl.find_opt buckets len with Some b -> b.n | None -> 0
+    match Lengths.find_opt buckets len with Some b -> b.n | None -> 0
 end
 
 let tag_counter = ref 0

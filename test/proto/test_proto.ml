@@ -106,7 +106,8 @@ type rig = {
 
 let small = { Disk.hdd_constellation2 with Disk.capacity_sectors = 1 lsl 22 }
 
-let make_rig ?(loss = 0.0) ?(workers = 8) ?(mtu = 9000) ?timeout () =
+let make_rig ?(loss = 0.0) ?(workers = 8) ?(mtu = 9000) ?timeout
+    ?max_read_sectors () =
   let sim = Sim.create () in
   let fab = Fabric.create sim ~mtu ~loss_rate:loss () in
   let server_disk = Disk.create sim small in
@@ -121,7 +122,7 @@ let make_rig ?(loss = 0.0) ?(workers = 8) ?(mtu = 9000) ?timeout () =
         | _ -> ())
   in
   let send hdr data = Aoe.send port ~dst:(Vblade.port_id vblade) hdr data in
-  let client = Aoe_client.create sim ~send ~mtu ?timeout () in
+  let client = Aoe_client.create sim ~send ~mtu ?timeout ?max_read_sectors () in
   client_ref := Some client;
   { sim; fab; server_disk; vblade; client }
 
@@ -209,14 +210,17 @@ let test_client_duplicate_fragments_harmless () =
 
 let prop_client_correct_under_loss =
   (* Any mix of reads and writes, at any loss rate up to 15%, ends with
-     every read returning exactly the server's current content. *)
+     every read returning exactly the server's current content. Reads of
+     up to 63 sectors span up to three commands of at least 21 sectors,
+     so a late duplicate of one command can arrive while the next
+     reassembles into the same output array. *)
   QCheck.Test.make ~name:"aoe client correct under random loss" ~count:12
-    QCheck.(pair (int_bound 1000) (int_bound 15))
-    (fun (seed, loss_pct) ->
+    QCheck.(triple (int_bound 1000) (int_bound 15) (int_range 21 64))
+    (fun (seed, loss_pct, max_read_sectors) ->
       let rig =
         make_rig
           ~loss:(float_of_int loss_pct /. 100.0)
-          ~timeout:(Time.ms 5) ()
+          ~timeout:(Time.ms 5) ~max_read_sectors ()
       in
       let ok = ref true in
       Sim.spawn_at rig.sim Time.zero (fun () ->
