@@ -157,7 +157,12 @@ val send_wait : port -> dst:int -> size_bytes:int -> Packet.payload -> unit
 (** Like [send] but models a bounded socket buffer: blocks the calling
     process while the transmit queue is full (process context). A
     single-threaded sender therefore serializes against the wire — the
-    original vblade's bottleneck (§4.2). *)
+    original vblade's bottleneck (§4.2). Blocked senders wait on a
+    {!Bmcast_engine.Sim.wait_queue} and are admitted first in, first
+    out. Each frame that leaves the uplink wakes them all; a woken
+    sender is re-checked without being resumed, and one that still
+    finds the buffer full keeps waiting behind those that blocked
+    before its re-check. *)
 
 (** {2 Statistics} *)
 
