@@ -22,11 +22,6 @@ let zero = 0
 let image lba = pack "image" kind_image lba
 let data tag = pack "data" kind_data tag
 
-(* The next image sector packs to [prev + 4]; the last encodable LBA
-   has none. *)
-let continues ~prev c =
-  if prev land 3 = kind_image then c = prev + 4 && c > prev else c = prev
-
 (* Blob ids index [blob_strings]; equal strings share one id, so
    [equal] stays int equality. Entries are never removed. *)
 let blob_ids : (string, int) Hashtbl.t = Hashtbl.create 16
@@ -89,6 +84,28 @@ let fill (a : t array) off len (c : t) =
   for i = off to off + len - 1 do
     Array.unsafe_set a i c
   done
+
+(* Image sector [lba] at position [pos] has the run value
+   [image lba - 4 pos], which the next image sector at the next position
+   shares. The arithmetic wraps modulo 2^63 as the packing does, so
+   adding [4 pos] back gives [image lba] exactly even where the
+   subtraction wrapped, and a run whose LBAs cross from [2^60 - 1] to
+   [-2^60] (which packs to [image (2^60 - 1) + 4] in the same modular
+   arithmetic) still comes back sector by sector. Any other sector is
+   its own run value. *)
+let run_of c ~pos = if c land 3 = kind_image then c - (pos lsl 2) else c
+
+let fill_run (a : t array) off len ~run ~pos =
+  if len < 0 || off < 0 || off > Array.length a - len then
+    invalid_arg "Content.fill_run";
+  if run land 3 = kind_image then begin
+    let c = ref (run + (pos lsl 2)) in
+    for i = off to off + len - 1 do
+      Array.unsafe_set a i !c;
+      c := !c + 4
+    done
+  end
+  else fill a off len run
 
 (* Size-bucketed free lists of sector-content scratch arrays, shared
    process-wide (pool state never influences simulated values — arrays

@@ -40,10 +40,6 @@ val blob : string -> t
     is process-wide and only grows; blobs are only the VMM's saved fill
     bitmap, one 512-byte string per distinct sector ever saved. *)
 
-val continues : prev:t -> t -> bool
-(** [continues ~prev c]: [c] extends a run of sectors that ends in
-    [prev]: it is the same sector, or the next image sector. *)
-
 val view : t -> view
 val of_view : view -> t
 (** [view (of_view v) = v]; raises as {!image}/{!data} do. *)
@@ -63,6 +59,22 @@ val blit : t array -> int -> t array -> int -> int -> unit
 
 val fill : t array -> int -> int -> t -> unit
 (** As [Array.fill]. *)
+
+(** {2 Runs}
+
+    A disk stores its contents as extents of one run value each, so a
+    run value names a sector independently of its position. *)
+
+val run_of : t -> pos:int -> int
+(** [run_of c ~pos]: the run value of sector [c] stored at disk position
+    [pos]. Neighbouring positions share it when they hold one repeated
+    sector or image sectors whose LBAs advance with the position
+    (modulo [2{^61}]); zero's run value is 0. *)
+
+val fill_run : t array -> int -> int -> run:int -> pos:int -> unit
+(** [fill_run a off len ~run ~pos] stores into [a.(off)] ...
+    [a.(off+len-1)] the sectors that run value [run] gives positions
+    [pos] ... [pos+len-1], as {!fill} checks its window. *)
 
 (** Pooled sector-content scratch arrays for request-scoped buffers
     (AoE fragments, whole-command reads, DMA staging). [alloc n] yields

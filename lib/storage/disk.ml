@@ -37,11 +37,6 @@ let ssd_sata =
     cache_hit_time = Time.us 40;
     fixed_overhead = Time.us 60 }
 
-(* Extent values.  [Img delta] means sector [l] holds image sector
-   [l + delta]; BMcast's identical-address-space deployment always has
-   delta = 0, but copies of image data elsewhere stay representable. *)
-type run = Img of int | Tag of int | Zeros | Blob1 of string
-
 exception Read_error of int
 
 (* An injected transient media fault: reads overlapping [lba, lba+count)
@@ -56,7 +51,7 @@ type t = {
   sim : Sim.t;
   traced : bool;  (* [Trace.on] for "storage", resolved once at create *)
   profile : profile;
-  extents : run Extent_map.t;
+  extents : Extent_map.t;  (* [Content.run_of] values *)
   prng : Prng.t;
   mutable head_pos : int;  (* LBA after the last media access *)
   mutable cache_start : int;  (* last-read window, for cache hits *)
@@ -138,23 +133,13 @@ let check_span t ~lba ~count =
 (* Materialize into a caller-owned buffer (often a [Content.Scratch]
    array): the hot read paths stage sectors through here without a fresh
    array per call. The buffer region must be all-[zero] on entry
-   (scratch arrays and fresh arrays both are); unmapped runs are
-   skipped, not stored. *)
+   (scratch arrays and fresh arrays both are); unmapped and zero runs
+   are skipped, not stored. *)
 let peek_into t ~lba ~count out =
   check_span t ~lba ~count;
   if count > Array.length out then invalid_arg "Disk.peek_into: buffer too short";
-  ignore
-    (Extent_map.fold_range t.extents ~lba ~count ~init:()
-       ~f:(fun () ~lba:sub ~count:n v ->
-         match v with
-         | None | Some Zeros -> ()
-         | Some (Img delta) ->
-           for i = 0 to n - 1 do
-             out.(sub - lba + i) <- Content.image (sub + i + delta)
-           done
-         | Some (Tag tag) -> Content.fill out (sub - lba) n (Content.data tag)
-         | Some (Blob1 s) -> Content.fill out (sub - lba) n (Content.blob s))
-      : unit)
+  Extent_map.iter_range t.extents ~lba ~count ~f:(fun ~lba:pos ~count:n run ->
+      if run <> 0 then Content.fill_run out (pos - lba) n ~run ~pos)
 
 let peek t ~lba ~count =
   check_span t ~lba ~count;
@@ -162,27 +147,23 @@ let peek t ~lba ~count =
   peek_into t ~lba ~count out;
   Array.map Content.view out
 
-(* Split written data into uniform runs so extents stay compact. *)
+(* Split written data into runs of one run value so extents stay
+   compact. *)
 let poke t ~lba ~count data =
   check_span t ~lba ~count;
   if Array.length data <> count then
     invalid_arg "Disk.poke: data length mismatch";
   let start = ref 0 in
   while !start < count do
+    let run = Content.run_of data.(!start) ~pos:(lba + !start) in
     let finish = ref (!start + 1) in
     while
-      !finish < count && Content.continues ~prev:data.(!finish - 1) data.(!finish)
+      !finish < count
+      && Content.run_of data.(!finish) ~pos:(lba + !finish) = run
     do
       incr finish
     done;
-    let v =
-      match Content.view data.(!start) with
-      | Content.Zero -> Zeros
-      | Content.Image img_lba -> Img (img_lba - (lba + !start))
-      | Content.Data tag -> Tag tag
-      | Content.Blob s -> Blob1 s
-    in
-    Extent_map.set t.extents ~lba:(lba + !start) ~count:(!finish - !start) v;
+    Extent_map.set t.extents ~lba:(lba + !start) ~count:(!finish - !start) run;
     start := !finish
   done
 
@@ -195,7 +176,8 @@ let mapped_sectors_in t ~lba ~count =
   Extent_map.covered_range t.extents ~lba ~count
 
 let fill_with_image t =
-  Extent_map.set t.extents ~lba:0 ~count:t.profile.capacity_sectors (Img 0)
+  Extent_map.set t.extents ~lba:0 ~count:t.profile.capacity_sectors
+    (Content.run_of (Content.image 0) ~pos:0)
 
 (* --- timing --- *)
 

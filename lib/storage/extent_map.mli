@@ -1,39 +1,40 @@
-(** Range map from LBA extents to values.
+(** Range map from LBA extents to [int] values.
 
     Stores disk contents compactly: a 67-million-sector disk filled
     mostly by large sequential background-copy writes stays a handful of
-    extents. Values are uniform per extent ("all Image", "all Data tag
-    17"); positional content like [Image lba] is reconstructed by the
-    caller from the extent's position (see {!Disk}). *)
+    extents. Values are uniform per extent; {!Disk} stores
+    {!Content.run_of} values, which stay uniform over a run of
+    consecutive image sectors. The extents live in sorted [int] arrays:
+    a lookup is a binary search, an update shifts the extents after it,
+    and neither allocates unless the arrays grow. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val set : 'a t -> lba:int -> count:int -> 'a -> unit
+val set : t -> lba:int -> count:int -> int -> unit
 (** Assign value to [\[lba, lba+count)], overwriting and splitting any
     overlapped extents. Adjacent extents with equal values merge. *)
 
-val clear_range : 'a t -> lba:int -> count:int -> unit
+val clear_range : t -> lba:int -> count:int -> unit
 (** Remove any mapping in the range. *)
 
-val get : 'a t -> int -> 'a option
+val get : t -> int -> int option
 (** Value at a single LBA. *)
 
-val fold_range :
-  'a t -> lba:int -> count:int -> init:'b ->
-  f:('b -> lba:int -> count:int -> 'a option -> 'b) -> 'b
-(** Fold over maximal sub-ranges of [\[lba, lba+count)] with a uniform
-    mapping status ([Some v] or unmapped). Sub-ranges are visited in
-    ascending LBA order and exactly cover the query range. *)
+val iter_range :
+  t -> lba:int -> count:int -> f:(lba:int -> count:int -> int -> unit) -> unit
+(** [f] on every mapped piece of [\[lba, lba+count)], each an extent
+    clipped to the range, in ascending LBA order; the LBAs between
+    pieces are unmapped. [f] must not modify the map. *)
 
-val extent_count : 'a t -> int
+val extent_count : t -> int
 (** Number of stored extents (a compactness measure). *)
 
-val covered : 'a t -> int
+val covered : t -> int
 (** Total number of mapped LBAs. *)
 
-val covered_range : 'a t -> lba:int -> count:int -> int
+val covered_range : t -> lba:int -> count:int -> int
 (** Mapped LBAs within [\[lba, lba+count)] — [count] means the whole
     range is mapped. The extent-accounting query behind the peer-serve
     guard: a peer only serves ranges its local disk fully holds. *)

@@ -168,50 +168,59 @@ let prop_content_blit_fill_match_array =
 
 let test_extent_set_get () =
   let m = Extent_map.create () in
-  Extent_map.set m ~lba:10 ~count:5 "a";
-  Alcotest.(check (option string)) "inside" (Some "a") (Extent_map.get m 12);
-  Alcotest.(check (option string)) "before" None (Extent_map.get m 9);
-  Alcotest.(check (option string)) "after" None (Extent_map.get m 15)
+  Extent_map.set m ~lba:10 ~count:5 1;
+  Alcotest.(check (option int)) "inside" (Some 1) (Extent_map.get m 12);
+  Alcotest.(check (option int)) "before" None (Extent_map.get m 9);
+  Alcotest.(check (option int)) "after" None (Extent_map.get m 15)
 
 let test_extent_overwrite_splits () =
   let m = Extent_map.create () in
-  Extent_map.set m ~lba:0 ~count:10 "a";
-  Extent_map.set m ~lba:3 ~count:4 "b";
-  Alcotest.(check (option string)) "left" (Some "a") (Extent_map.get m 2);
-  Alcotest.(check (option string)) "mid" (Some "b") (Extent_map.get m 5);
-  Alcotest.(check (option string)) "right" (Some "a") (Extent_map.get m 8);
+  Extent_map.set m ~lba:0 ~count:10 1;
+  Extent_map.set m ~lba:3 ~count:4 2;
+  Alcotest.(check (option int)) "left" (Some 1) (Extent_map.get m 2);
+  Alcotest.(check (option int)) "mid" (Some 2) (Extent_map.get m 5);
+  Alcotest.(check (option int)) "right" (Some 1) (Extent_map.get m 8);
   check_int "three extents" 3 (Extent_map.extent_count m);
   check_int "covered" 10 (Extent_map.covered m)
 
 let test_extent_merge_adjacent () =
   let m = Extent_map.create () in
-  Extent_map.set m ~lba:0 ~count:5 "a";
-  Extent_map.set m ~lba:5 ~count:5 "a";
+  Extent_map.set m ~lba:0 ~count:5 1;
+  Extent_map.set m ~lba:5 ~count:5 1;
   check_int "merged" 1 (Extent_map.extent_count m);
-  Extent_map.set m ~lba:10 ~count:5 "b";
+  Extent_map.set m ~lba:10 ~count:5 2;
   check_int "different value not merged" 2 (Extent_map.extent_count m)
 
 let test_extent_clear_range () =
   let m = Extent_map.create () in
-  Extent_map.set m ~lba:0 ~count:10 "a";
+  Extent_map.set m ~lba:0 ~count:10 1;
   Extent_map.clear_range m ~lba:4 ~count:2;
-  Alcotest.(check (option string)) "hole" None (Extent_map.get m 5);
-  Alcotest.(check (option string)) "left intact" (Some "a") (Extent_map.get m 3);
-  Alcotest.(check (option string)) "right intact" (Some "a") (Extent_map.get m 6);
+  Alcotest.(check (option int)) "hole" None (Extent_map.get m 5);
+  Alcotest.(check (option int)) "left intact" (Some 1) (Extent_map.get m 3);
+  Alcotest.(check (option int)) "right intact" (Some 1) (Extent_map.get m 6);
   check_int "covered" 8 (Extent_map.covered m)
 
-let test_extent_fold_range () =
-  let m = Extent_map.create () in
-  Extent_map.set m ~lba:5 ~count:5 "a";
-  Extent_map.set m ~lba:15 ~count:5 "b";
-  let subs =
-    Extent_map.fold_range m ~lba:0 ~count:25 ~init:[]
-      ~f:(fun acc ~lba ~count v -> (lba, count, v) :: acc)
-    |> List.rev
+(* [iter_range]'s mapped pieces with the gaps between them as [None]
+   pieces, in the order visited. *)
+let extent_tiles m ~lba ~count =
+  let tiles = ref [] and next = ref lba in
+  let gap upto =
+    if upto > !next then tiles := (!next, upto - !next, None) :: !tiles
   in
+  Extent_map.iter_range m ~lba ~count ~f:(fun ~lba ~count v ->
+      gap lba;
+      tiles := (lba, count, Some v) :: !tiles;
+      next := lba + count);
+  gap (lba + count);
+  List.rev !tiles
+
+let test_extent_iter_range () =
+  let m = Extent_map.create () in
+  Extent_map.set m ~lba:5 ~count:5 1;
+  Extent_map.set m ~lba:15 ~count:5 2;
   Alcotest.(check bool) "exact cover" true
-    (subs
-    = [ (0, 5, None); (5, 5, Some "a"); (10, 5, None); (15, 5, Some "b");
+    (extent_tiles m ~lba:0 ~count:25
+    = [ (0, 5, None); (5, 5, Some 1); (10, 5, None); (15, 5, Some 2);
         (20, 5, None) ])
 
 let prop_extent_clear_matches_reference =
@@ -399,23 +408,47 @@ let prop_extent_coalesced =
       done;
       Extent_map.extent_count m = !runs)
 
-let prop_extent_fold_tiles_exactly =
-  (* [fold_range] visits sub-ranges that tile the query exactly: in
-     ascending order, no overlap, no gap, each uniform and agreeing with
-     the reference; [covered] equals the mapped tiles' total. *)
-  QCheck.Test.make ~name:"extent map fold_range tiles without overlap"
+let prop_extent_iter_tiles_exactly =
+  (* [iter_range]'s mapped pieces and the gaps between them tile the
+     query exactly: in ascending order, no overlap, no gap, each
+     uniform and agreeing with the reference; [covered] equals the
+     mapped pieces' total. *)
+  QCheck.Test.make ~name:"extent map iter_range tiles without overlap"
     ~count:200 (QCheck.make extent_ops_gen) (fun ops ->
       let m, reference = apply_extent_ops ops in
       let next = ref 0 and ok = ref true and mapped = ref 0 in
-      Extent_map.fold_range m ~lba:0 ~count:100 ~init:()
-        ~f:(fun () ~lba ~count v ->
+      List.iter
+        (fun (lba, count, v) ->
           if lba <> !next || count <= 0 then ok := false;
           next := lba + count;
           if v <> None then mapped := !mapped + count;
           for i = lba to lba + count - 1 do
             if reference.(i) <> v then ok := false
-          done);
+          done)
+        (extent_tiles m ~lba:0 ~count:100);
       !ok && !next = 100 && !mapped = Extent_map.covered m)
+
+let prop_extent_iter_window =
+  (* Over any window, [iter_range] clips the extents it visits to the
+     window: its pieces and gaps tile exactly the window and agree with
+     the reference. *)
+  QCheck.Test.make ~name:"extent map iter_range clips to any window"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(pair extent_ops_gen (pair (int_range 0 99) (int_range 1 100))))
+    (fun (ops, (qlba, qcount)) ->
+      let m, reference = apply_extent_ops ops in
+      let qcount = min qcount (100 - qlba) in
+      let next = ref qlba and ok = ref true in
+      List.iter
+        (fun (lba, count, v) ->
+          if lba <> !next || count <= 0 then ok := false;
+          next := lba + count;
+          for i = lba to lba + count - 1 do
+            if reference.(i) <> v then ok := false
+          done)
+        (extent_tiles m ~lba:qlba ~count:qcount);
+      !ok && !next = qlba + qcount)
 
 (* --- Dma --- *)
 
@@ -646,24 +679,90 @@ let test_ssd_no_seek_penalty () =
          let far = Disk.service_time d `Read ~lba:900_000 ~count:8 in
          check_int "uniform latency" near far))
 
+(* Words [f ()] allocates: minor words plus words allocated straight
+   into the major heap. Between minor collections OCaml 5.1's
+   [Gc.allocated_bytes] advances one byte per word allocated, not eight,
+   and catches up only at the next minor collection; one before each
+   reading makes it exact. *)
+let allocated_words f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  f ();
+  Gc.minor ();
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+
+(* Words per call over [calls] calls of [f], after one warm-up call. *)
+let words_per_call ~calls f =
+  f ();
+  allocated_words (fun () ->
+      for _ = 1 to calls do
+        f ()
+      done)
+  /. float_of_int calls
+
 (* A sector is an immediate, so staging 65,536 image sectors that no
    read has produced before allocates nothing per sector: only the
-   read's own closures, counted in minor words plus words allocated
-   straight into the major heap. A boxed sector costs two words each. *)
+   read's own closures. A boxed sector costs two words each. *)
 let test_peek_into_allocates_no_sector_block () =
   let sim = Sim.create () in
   let d = Disk.create sim small_hdd in
   let lba = 300_000 and count = 65_536 in
   Disk.poke d ~lba ~count (Content.image_sectors ~lba ~count);
   let out = Content.zeroes ~count in
-  let before = Gc.allocated_bytes () in
-  Disk.peek_into d ~lba ~count out;
-  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  let words = allocated_words (fun () -> Disk.peek_into d ~lba ~count out) in
   check_bool "sectors staged" true
     (Array.for_all2 Content.equal out (Content.image_sectors ~lba ~count));
   check_bool
     (Printf.sprintf "%.0f words for %d sectors, at most 256" words count)
     true (words <= 256.0)
+
+(* A data run splits the image disk's one extent in three and the image
+   run written back merges them again: the disk's extents are updated
+   in place. *)
+let test_poke_allocation () =
+  let sim = Sim.create () in
+  let d = Disk.create sim small_hdd in
+  Disk.fill_with_image d;
+  let lba = 4096 in
+  let data = Content.data_sectors ~count:16 in
+  let image = Content.image_sectors ~lba ~count:16 in
+  let words =
+    words_per_call ~calls:100_000 (fun () ->
+        Disk.poke d ~lba ~count:16 data;
+        Disk.poke d ~lba ~count:16 image)
+    /. 2.0
+  in
+  Alcotest.(check (array view_testable))
+    "image restored"
+    (Array.map Content.view (Content.image_sectors ~lba:(lba - 1) ~count:18))
+    (Disk.peek d ~lba:(lba - 1) ~count:18);
+  check_bool
+    (Printf.sprintf "%.1f words per poke, at most 8" words)
+    true (words <= 8.0)
+
+(* 64 sectors over image, data, image, data and image extents. *)
+let test_peek_into_allocation () =
+  let sim = Sim.create () in
+  let d = Disk.create sim small_hdd in
+  Disk.fill_with_image d;
+  let lba = 4096 and count = 64 in
+  let expect = Content.image_sectors ~lba ~count in
+  List.iter
+    (fun off ->
+      let data = Content.data_sectors ~count:8 in
+      Disk.poke d ~lba:(lba + off) ~count:8 data;
+      Content.blit data 0 expect off 8)
+    [ 10; 30 ];
+  let out = Content.zeroes ~count in
+  let words =
+    words_per_call ~calls:100_000 (fun () ->
+        Content.fill out 0 count Content.zero;
+        Disk.peek_into d ~lba ~count out)
+  in
+  Alcotest.(check (array content_testable)) "sectors staged" expect out;
+  check_bool
+    (Printf.sprintf "%.1f words per peek_into, at most 16" words)
+    true (words <= 16.0)
 
 (* --- AHCI --- *)
 
@@ -1029,13 +1128,14 @@ let () =
           tc "overwrite splits" `Quick test_extent_overwrite_splits;
           tc "merge adjacent" `Quick test_extent_merge_adjacent;
           tc "clear range" `Quick test_extent_clear_range;
-          tc "fold range" `Quick test_extent_fold_range;
+          tc "iter range" `Quick test_extent_iter_range;
           QCheck_alcotest.to_alcotest prop_extent_matches_reference;
           QCheck_alcotest.to_alcotest prop_extent_clear_matches_reference;
           QCheck_alcotest.to_alcotest prop_extent_covered_range_matches_reference;
           QCheck_alcotest.to_alcotest prop_extent_insert_query_roundtrip;
           QCheck_alcotest.to_alcotest prop_extent_coalesced;
-          QCheck_alcotest.to_alcotest prop_extent_fold_tiles_exactly ] );
+          QCheck_alcotest.to_alcotest prop_extent_iter_tiles_exactly;
+          QCheck_alcotest.to_alcotest prop_extent_iter_window ] );
       ( "dma",
         [ tc "alloc find" `Quick test_dma_alloc_find;
           tc "distinct addresses" `Quick test_dma_distinct_addresses;
@@ -1055,7 +1155,9 @@ let () =
           tc "ssd uniform latency" `Quick test_ssd_no_seek_penalty ] );
       ( "memory",
         [ tc "peek_into allocates no block per sector" `Quick
-            test_peek_into_allocates_no_sector_block ] );
+            test_peek_into_allocates_no_sector_block;
+          tc "poke words per call" `Quick test_poke_allocation;
+          tc "peek_into words per call" `Quick test_peek_into_allocation ] );
       ( "ahci",
         [ tc "read flow" `Quick test_ahci_read_flow;
           tc "write flow" `Quick test_ahci_write_flow;
