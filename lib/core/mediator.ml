@@ -42,6 +42,7 @@ type stats = {
 
 type t = {
   machine : Machine.t;
+  traced : bool;  (* [Trace.on] for "mediator", resolved once at create *)
   dev : device;
   aoe : Aoe_client.t;
   bitmap : Bitmap.t;
@@ -67,6 +68,7 @@ type t = {
 
 let create machine ~aoe ~bitmap ~params dev =
   { machine;
+    traced = Trace.on (Sim.trace machine.Machine.sim) ~cat:"mediator";
     dev;
     aoe;
     bitmap;
@@ -195,9 +197,8 @@ let issue_vmm t op ~lba ~count buf =
     (if t.cmd_time_ewma = 0 then took
      else Time.div (Time.add (Time.mul t.cmd_time_ewma 7) took) 8);
   t.stats.multiplexed_ops <- t.stats.multiplexed_ops + 1;
-  let tr = Sim.trace t.machine.Machine.sim in
-  if Trace.on tr ~cat:"mediator" then
-    Trace.complete tr ~cat:"mediator"
+  if t.traced then
+    Trace.complete (Sim.trace t.machine.Machine.sim) ~cat:"mediator"
       ~args:[ ("lba", Trace.Int lba); ("count", Trace.Int programmed) ]
       "multiplexed-cmd" ~ts:issued_at
 
@@ -311,11 +312,10 @@ let redirect t g c ~lba ~count =
         off := !off + n
       end)
     (g.prds c);
-  (let tr = Sim.trace sim in
-   if Trace.on tr ~cat:"mediator" then
-     Trace.instant tr ~cat:"mediator"
-       ~args:[ ("sectors", Trace.Int count) ]
-       "virtual-dma");
+  if t.traced then
+    Trace.instant (Sim.trace sim) ~cat:"mediator"
+      ~args:[ ("sectors", Trace.Int count) ]
+      "virtual-dma";
   (* 4. Restart: reissue the command as a single dummy-sector read that
      hits the disk cache and let the device generate the interrupt.
      Serialize with VMM commands so the dummy does not complete inside
@@ -328,9 +328,8 @@ let redirect t g c ~lba ~count =
       g.forward_dummy c ~lba:t.cached_lba);
   Histogram.add t.redirect_latency
     (Time.to_float_ms (Time.diff (Sim.now sim) started));
-  let tr = Sim.trace sim in
-  if Trace.on tr ~cat:"mediator" then
-    Trace.complete tr ~cat:"mediator"
+  if t.traced then
+    Trace.complete (Sim.trace sim) ~cat:"mediator"
       ~args:
         [ ("m", Trace.Str t.machine.Machine.name);
           ("stage", Trace.Str "copy_on_read");
@@ -350,9 +349,9 @@ let rec dispatch t g c ~op ~lba ~count =
     g.withhold c;
     Queue.add (fun () -> dispatch t g c ~op ~lba ~count) t.queued;
     t.stats.queued_commands <- t.stats.queued_commands + 1;
-    let tr = Sim.trace t.machine.Machine.sim in
-    if Trace.on tr ~cat:"mediator" then
-      Trace.counter tr ~cat:"mediator" (t.dev.name ^ "-queue-depth")
+    if t.traced then
+      Trace.counter (Sim.trace t.machine.Machine.sim) ~cat:"mediator"
+        (t.dev.name ^ "-queue-depth")
         (float_of_int (Queue.length t.queued))
   end
   else if op <> Other && overlaps_protected t ~lba ~count then
@@ -393,6 +392,6 @@ let devirtualize t =
     poll t
   done;
   Semaphore.with_permit t.lock t.dev.remove;
-  let tr = Sim.trace t.machine.Machine.sim in
-  if Trace.on tr ~cat:"mediator" then
-    Trace.instant tr ~cat:"mediator" "devirtualized"
+  if t.traced then
+    Trace.instant (Sim.trace t.machine.Machine.sim) ~cat:"mediator"
+      "devirtualized"
