@@ -26,10 +26,10 @@ let inspect disk_kind label =
   let m = Stacks.machine env ~name:label ~disk_kind () in
   Stacks.run env (fun () ->
       let rt, vmm = Stacks.bmcast env m () in
+      let buf = Content.zeroes ~count:16 in
       let io () =
         for i = 0 to 19 do
-          ignore (rt.Runtime.block_read ~lba:(i * 512) ~count:16
-                  : Content.t array)
+          rt.Runtime.block_read ~lba:(i * 512) ~count:16 buf
         done;
         rt.Runtime.block_write ~lba:123 ~count:8 (Content.data_sectors ~count:8)
       in

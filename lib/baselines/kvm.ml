@@ -102,7 +102,9 @@ let block_write t ~lba ~count data =
 let runtime t =
   { Runtime.label = "kvm";
     machine = t.machine;
-    block_read = (fun ~lba ~count -> block_read t ~lba ~count);
+    block_read =
+      (fun ~lba ~count dst ->
+        Content.blit (block_read t ~lba ~count) 0 dst 0 count);
     block_write = (fun ~lba ~count data -> block_write t ~lba ~count data);
     cpu = t.cpu_model;
     phase = (fun () -> Runtime.Kvm) }

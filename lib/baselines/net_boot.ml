@@ -1,6 +1,7 @@
 module Sim = Bmcast_engine.Sim
 module Time = Bmcast_engine.Time
 module Firmware = Bmcast_hw.Firmware
+module Content = Bmcast_storage.Content
 module Machine = Bmcast_platform.Machine
 module Runtime = Bmcast_platform.Runtime
 module Cpu_model = Bmcast_platform.Cpu_model
@@ -24,9 +25,9 @@ let runtime t =
   { Runtime.label = "netboot";
     machine = t.machine;
     block_read =
-      (fun ~lba ~count ->
+      (fun ~lba ~count dst ->
         Sim.sleep metadata_overhead;
-        Remote_block.read t.server ~lba ~count);
+        Content.blit (Remote_block.read t.server ~lba ~count) 0 dst 0 count);
     block_write =
       (fun ~lba ~count data ->
         Sim.sleep metadata_overhead;

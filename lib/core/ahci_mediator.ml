@@ -39,7 +39,9 @@ let guest t =
     forward_dummy =
       (fun slot ~lba ->
         let ct = table t slot in
-        ct.Ahci.fis <- { Ahci.Fis.op = Ahci.Fis.Read; lba; count = 1 };
+        ct.Ahci.op <- Ahci.Read;
+        ct.Ahci.lba <- lba;
+        ct.Ahci.count <- 1;
         ct.Ahci.prdt <- t.dummy_prdt;
         forward t slot);
     withhold = (fun slot -> t.ghost_ci <- t.ghost_ci lor (1 lsl slot));
@@ -49,9 +51,10 @@ let guest t =
    set on every command because the guest may have moved its command
    list. *)
 let issue t op ~lba ~count buf =
-  let op = if op = Mediator.Write then Ahci.Fis.Write else Ahci.Fis.Read in
   let ct = Ahci.cmd_table t.ahci ~addr:t.vmm_table in
-  ct.Ahci.fis <- { Ahci.Fis.op; lba; count };
+  ct.Ahci.op <- (if op = Mediator.Write then Ahci.Write else Ahci.Read);
+  ct.Ahci.lba <- lba;
+  ct.Ahci.count <- count;
   ct.Ahci.prdt <- [ { Dma.buf_addr = buf.Dma.addr; sectors = count } ];
   Ahci.set_slot t.ahci ~clb:(current_clb t) ~slot:vmm_slot
     ~table_addr:t.vmm_table;
@@ -88,9 +91,9 @@ let device machine t =
 (* --- the interposer (I/O interpretation) --- *)
 
 let submit t m g slot =
-  let { Ahci.Fis.op; lba; count } = (table t slot).Ahci.fis in
-  let op = match op with Ahci.Fis.Read -> Mediator.Read | Write -> Write in
-  Mediator.submit m g slot ~op ~lba ~count
+  let ct = table t slot in
+  let op = match ct.Ahci.op with Ahci.Read -> Mediator.Read | Write -> Write in
+  Mediator.submit m g slot ~op ~lba:ct.Ahci.lba ~count:ct.Ahci.count
 
 let on_write t m g ~next off v =
   Mediator.trap m Cpu.Mmio;
@@ -134,9 +137,7 @@ let attach machine ahci ~aoe ~bitmap ~params =
       raw = Ahci.raw ahci;
       dummy_prdt;
       vmm_table =
-        Ahci.alloc_cmd_table ahci
-          { Ahci.Fis.op = Ahci.Fis.Read; lba = 0; count = 1 }
-          dummy_prdt;
+        Ahci.alloc_cmd_table ahci ~op:Ahci.Read ~lba:0 ~count:1 dummy_prdt;
       ghost_ci = 0;
       guest_ie = 0 }
   in

@@ -1,6 +1,7 @@
 module Sim = Bmcast_engine.Sim
 module Time = Bmcast_engine.Time
 module Semaphore = Bmcast_engine.Semaphore
+module Ring = Bmcast_engine.Ring
 module Signal = Bmcast_engine.Signal
 module Cpu = Bmcast_hw.Cpu
 module Content = Bmcast_storage.Content
@@ -52,12 +53,14 @@ type t = {
   lock : Semaphore.t;
   ready : Signal.Latch.t;
   mutable cached_lba : int;  (* a sector known to be in the disk cache *)
-  mutable last_guest_lba : int option;  (* background-copy locality hint *)
+  mutable last_guest_lba : int;
+      (* background-copy locality hint; [no_hint] before the first read *)
   mutable protected_region : (int * int) option;
       (* guest access here is converted to a dummy-sector read (the
          saved-bitmap region, 3.3) *)
-  (* moderation input: timestamps of recent guest commands *)
-  io_times : Time.t Queue.t;
+  (* moderation input: timestamps of recent guest commands, oldest
+     first *)
+  io_times : Time.t Ring.t;
   mutable inflight_redirects : int;
   (* §4.1: polling intervals are estimated from recent I/O latencies;
      EWMA of VMM command service times. *)
@@ -65,6 +68,8 @@ type t = {
   stats : stats;
   redirect_latency : Histogram.t;
 }
+
+let no_hint = -1
 
 let create machine ~aoe ~bitmap ~params dev =
   { machine;
@@ -78,9 +83,9 @@ let create machine ~aoe ~bitmap ~params dev =
     lock = Semaphore.create 1;
     ready = Signal.Latch.create ();
     cached_lba = 0;
-    last_guest_lba = None;
+    last_guest_lba = no_hint;
     protected_region = None;
-    io_times = Queue.create ();
+    io_times = Ring.create ();
     inflight_redirects = 0;
     cmd_time_ewma = 0;
     stats =
@@ -99,7 +104,8 @@ let held t = t.held
 let set_ready t = Signal.Latch.set t.ready
 let wait_device_ready t = Signal.Latch.wait t.ready
 let set_protected_region t ~lba ~count = t.protected_region <- Some (lba, count)
-let guest_last_lba t = t.last_guest_lba
+let guest_last_lba t =
+  if t.last_guest_lba = no_hint then None else Some t.last_guest_lba
 let redirect_active t = t.inflight_redirects > 0
 
 (* Every trapped access costs one VM exit. *)
@@ -113,26 +119,21 @@ let poll t = Sim.sleep t.params.Params.poll_interval
    reacts quickly when a storage burst begins. *)
 let rate_window = Time.ms 250
 
-let note_guest_io t =
-  Queue.add (Sim.now t.machine.Machine.sim) t.io_times;
+(* Timestamps are pushed at the current time, so those that left the
+   window are a prefix of the ring. *)
+let trim_io_times t =
   let horizon = Time.diff (Sim.now t.machine.Machine.sim) rate_window in
-  let rec trim () =
-    match Queue.peek_opt t.io_times with
-    | Some ts when ts < horizon ->
-      ignore (Queue.pop t.io_times : Time.t);
-      trim ()
-    | Some _ | None -> ()
-  in
-  trim ()
+  while (not (Ring.is_empty t.io_times)) && Ring.peek t.io_times < horizon do
+    ignore (Ring.pop t.io_times : Time.t)
+  done
+
+let note_guest_io t =
+  Ring.push t.io_times (Sim.now t.machine.Machine.sim);
+  trim_io_times t
 
 let guest_io_rate t =
-  let now = Sim.now t.machine.Machine.sim in
-  let horizon = Time.diff now rate_window in
-  let in_window =
-    Queue.fold (fun acc ts -> if ts >= horizon then acc +. 1.0 else acc) 0.0
-      t.io_times
-  in
-  in_window /. Time.to_float_s rate_window
+  trim_io_times t;
+  float_of_int (Ring.length t.io_times) /. Time.to_float_s rate_window
 
 (* The bitmap covers only the deployed image; guest I/O beyond it (fresh
    data regions) needs no mediation. *)
@@ -302,16 +303,7 @@ let redirect t g c ~lba ~count =
       Content.blit local 0 data (f_lba - lba) f_count)
     (filled_parts ~lba ~count empty);
   (* 3. Copy: act as a virtual DMA controller into the guest buffers. *)
-  let off = ref 0 in
-  List.iter
-    (fun prd ->
-      if !off < count then begin
-        let n = min prd.Dma.sectors (count - !off) in
-        let buf = Dma.find t.machine.Machine.dma ~addr:prd.Dma.buf_addr in
-        Dma.blit_to buf ~off:0 data ~src_off:!off ~count:n;
-        off := !off + n
-      end)
-    (g.prds c);
+  Dma.scatter t.machine.Machine.dma (g.prds c) data ~count;
   if t.traced then
     Trace.instant (Sim.trace sim) ~cat:"mediator"
       ~args:[ ("sectors", Trace.Int count) ]
@@ -343,7 +335,7 @@ let rec dispatch t g c ~op ~lba ~count =
   (* Locality hint for the background copy: follow guest READS (data
      the OS will want nearby soon); following writes would make the
      copy chase regions the guest is populating itself. *)
-  if op = Read then t.last_guest_lba <- Some (lba + count);
+  if op = Read then t.last_guest_lba <- lba + count;
   if t.held then begin
     (* A VMM command occupies the device: intercept and queue. *)
     g.withhold c;

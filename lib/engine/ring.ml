@@ -42,3 +42,7 @@ let pop t =
   t.arr.(i) <- vacant ();
   t.head <- t.head + 1;
   v
+
+let peek t =
+  if t.head = t.tail then raise Empty;
+  t.arr.(t.head land (Array.length t.arr - 1))

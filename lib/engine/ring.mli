@@ -17,3 +17,6 @@ exception Empty
 val pop : 'a t -> 'a
 (** Remove and return the head. Raises {!Empty} when empty. The slot
     is cleared, so the ring holds no reference to a popped value. *)
+
+val peek : 'a t -> 'a
+(** The head, left in place. Raises {!Empty} when empty. *)

@@ -8,15 +8,27 @@ module Profile = Bmcast_obs.Profile
    sleep/wake hot path allocates nothing beyond the continuation the
    effect handler already holds. [Job_fn] carries external callbacks
    ([schedule]), traced slow paths and the preallocated entry of a
-   {!job}. *)
+   {!job}; [Job_proc] is the preallocated entry of a {!process}. *)
 type event =
   | Job_fn of (unit -> unit)
   | Job_k : (unit, unit) Effect.Deep.continuation -> event
   | Job_kv : ('a, unit) Effect.Deep.continuation * 'a -> event
-  | Job_proc of string option * (unit -> unit)
+  | Job_proc of process
   | Job_daemon of (unit -> unit)
 
-type t = {
+(* A process body with everything a start needs, built once: the effect
+   handler that runs it (its [exnc] names the process in a failure) and
+   the event that queues it. Each start still runs the body on a fresh
+   fiber, so starts may overlap. *)
+and process = {
+  pname : string option;
+  owner_ : t;
+  body : unit -> unit;
+  handler : (unit, unit) Effect.Deep.handler;
+  mutable start : event;  (* [Job_proc] of this process, set once *)
+}
+
+and t = {
   mutable clock : Time.t;
   events : event Heap.t;
   prng : Prng.t;
@@ -50,6 +62,9 @@ and effs = {
   mutable spawn_body : unit -> unit;
   h_spawn : ((unit, unit) Effect.Deep.continuation -> unit) option;
   h_self : ((t, unit) Effect.Deep.continuation -> unit) option;
+  effc :
+    'a. 'a Effect.t -> (('a, unit) Effect.Deep.continuation -> unit) option;
+      (* every process's [effc]: it reads only [sim] and these handlers *)
 }
 
 exception Process_failure of string * exn
@@ -111,11 +126,14 @@ let profile sim = sim.profile_
    site (clock + nonnegative delay), so skip the past-time check. *)
 let push_job sim at ev = Heap.push sim.events at ev
 
-let schedule sim at fn =
+let check_not_past sim fn at =
   if at < sim.clock then
     invalid_arg
-      (Printf.sprintf "Sim.schedule: time %s is in the past (now %s)"
-         (Time.to_string at) (Time.to_string sim.clock));
+      (Printf.sprintf "Sim.%s: time %s is in the past (now %s)" fn
+         (Time.to_string at) (Time.to_string sim.clock))
+
+let schedule sim at fn =
+  check_not_past sim "schedule" at;
   push_job sim at (Job_fn fn)
 
 let push_daemon sim at fn =
@@ -155,6 +173,27 @@ let create ?seed ?trace ?metrics ?profile ?timeseries () =
 
 let no_body () = ()
 
+let fail sim pname e =
+  if sim.failure = None then
+    sim.failure <- Some (Option.value pname ~default:"<anonymous>", e)
+
+let unstarted = Job_fn no_body
+
+(* Not a [let rec]: a recursive record is built twice (a dummy, then
+   the copy), which every spawn would pay. *)
+let new_process sim effs pname body =
+  let handler =
+    { Effect.Deep.retc = ignore;
+      exnc = (fun e -> fail sim pname e);
+      effc = effs.effc }
+  in
+  let p = { pname; owner_ = sim; body; handler; start = unstarted } in
+  p.start <- Job_proc p;
+  p
+
+(* The effect handler every process runs under, built once per
+   simulation. The [Suspend] waker guards against double resume so that
+   racing wake-up sources are safe. *)
 let make_effs sim =
   let open Effect.Deep in
   let rec e =
@@ -206,37 +245,14 @@ let make_effs sim =
                 ~args:
                   [ ("proc", Trace.Str (Option.value child_name ~default:"?")) ]
                 "spawn";
-            push_job sim sim.clock (Job_proc (child_name, body));
+            push_job sim sim.clock (new_process sim e child_name body).start;
             continue k ());
-      h_self = Some (fun k -> continue k sim) }
-  in
-  e
-
-let effs sim =
-  match sim.effs_ with
-  | Some e -> e
-  | None ->
-    let e = make_effs sim in
-    sim.effs_ <- Some e;
-    e
-
-(* Run [f] as a process: execute under a deep handler that maps blocking
-   effects onto event-queue operations.  Continuations are one-shot; the
-   [Suspend] waker guards against double resume so that racing wake-up
-   sources are safe. *)
-let rec exec_process sim name f =
-  let open Effect.Deep in
-  match_with f ()
-    { retc = (fun () -> ());
-      exnc =
-        (fun e ->
-          if sim.failure = None then
-            sim.failure <- Some (Option.value name ~default:"<anonymous>", e));
+      h_self = Some (fun k -> continue k sim);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Sleep -> ((effs sim).h_sleep : ((a, unit) continuation -> unit) option)
-          | Clock -> (effs sim).h_clock
+          | Sleep -> (e.h_sleep : ((a, unit) continuation -> unit) option)
+          | Clock -> e.h_clock
           | Suspend register ->
             Some
               (fun (k : (a, unit) continuation) ->
@@ -252,32 +268,44 @@ let rec exec_process sim name f =
                   end
                 in
                 register waker)
-          | Park -> ((effs sim).h_park : ((a, unit) continuation -> unit) option)
-          | Wait -> ((effs sim).h_wait : ((a, unit) continuation -> unit) option)
+          | Park -> e.h_park
+          | Wait -> e.h_wait
           | Spawn (child_name, body) ->
-            let e = effs sim in
             e.spawn_name <- child_name;
             e.spawn_body <- body;
             e.h_spawn
-          | Self -> (effs sim).h_self
+          | Self -> e.h_self
           | _ -> None) }
+  in
+  e
 
-and run_job sim ev =
+let effs sim =
+  match sim.effs_ with
+  | Some e -> e
+  | None ->
+    let e = make_effs sim in
+    sim.effs_ <- Some e;
+    e
+
+let run_job sim ev =
   match ev with
   | Job_fn f -> f ()
   | Job_k k -> Effect.Deep.continue k ()
   | Job_kv (k, v) -> Effect.Deep.continue k v
-  | Job_proc (name, body) -> exec_process sim name body
+  | Job_proc p -> Effect.Deep.match_with p.body () p.handler
   | Job_daemon f ->
     sim.daemons <- sim.daemons - 1;
     f ()
 
+let process sim ~name body = new_process sim (effs sim) (Some name) body
+
+let start_at p at =
+  check_not_past p.owner_ "start_at" at;
+  push_job p.owner_ at p.start
+
 let spawn_at sim ?name at f =
-  if at < sim.clock then
-    invalid_arg
-      (Printf.sprintf "Sim.spawn_at: time %s is in the past (now %s)"
-         (Time.to_string at) (Time.to_string sim.clock));
-  push_job sim at (Job_proc (name, f))
+  check_not_past sim "spawn_at" at;
+  push_job sim at (new_process sim (effs sim) name f).start
 
 (* Callback jobs: a process loop whose every step ends in one
    scheduling point, rewritten as a preallocated callback that re-queues

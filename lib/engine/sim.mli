@@ -65,7 +65,30 @@ val every : t -> ?daemon:bool -> Time.span -> (unit -> unit) -> unit -> unit
     @raise Invalid_argument if [span <= 0]. *)
 
 val spawn_at : t -> ?name:string -> Time.t -> (unit -> unit) -> unit
-(** Start an effectful process at the given absolute time. *)
+(** Start an effectful process at the given absolute time: {!start_at}
+    of a {!process} built on the spot. Records nothing in the trace.
+    @raise Invalid_argument if [at] is in the past. *)
+
+(** {1 Prebuilt processes}
+
+    A process started again and again (an interrupt service routine, a
+    device's command executor) can be built once: its body, its name and
+    the effect handler that runs it. Starting it then allocates nothing
+    beyond the fiber it runs on. *)
+
+type process
+
+val process : t -> name:string -> (unit -> unit) -> process
+(** [process sim ~name body] is a process that runs [body] each time it
+    is started. It is not started yet. An exception [body] raises makes
+    {!run} raise [Process_failure (name, e)]. *)
+
+val start_at : process -> Time.t -> unit
+(** Start the process at the given absolute time, recording nothing in
+    the trace, as {!spawn_at} does. Each start runs the body on a fresh
+    fiber, so starts may overlap: a process started again before its
+    last run ended runs twice at once.
+    @raise Invalid_argument if the time is in the past. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Execute events until no non-daemon events remain or the clock

@@ -134,7 +134,9 @@ let run_boot_prefetch () =
         let rt =
           { Bmcast_platform.Runtime.label = "bmcast";
             machine = m;
-            block_read = (fun ~lba ~count -> Bmcast_guest.Block_io.read blk ~lba ~count);
+            block_read =
+              (fun ~lba ~count dst ->
+                Bmcast_guest.Block_io.read_into blk ~lba ~count dst);
             block_write =
               (fun ~lba ~count data ->
                 Bmcast_guest.Block_io.write blk ~lba ~count data);

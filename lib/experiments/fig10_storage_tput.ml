@@ -32,8 +32,8 @@ let measure () =
         let rt, vmm = Stacks.bmcast env m () in
         (* Touch the disk to start deployment, then let the background
            copy run past the measurement region so reads are local. *)
-        ignore (rt.Bmcast_platform.Runtime.block_read ~lba:0 ~count:8
-                : Bmcast_storage.Content.t array);
+        rt.Bmcast_platform.Runtime.block_read ~lba:0 ~count:8
+          (Bmcast_storage.Content.zeroes ~count:8);
         let copied () =
           Vmm.progress vmm *. 8192.0 (* MB *)
         in
@@ -50,8 +50,8 @@ let measure () =
     let out = ref (0.0, 0.0) in
     Stacks.run env (fun () ->
         let rt, vmm = Stacks.bmcast env m () in
-        ignore (rt.Bmcast_platform.Runtime.block_read ~lba:0 ~count:8
-                : Bmcast_storage.Content.t array);
+        rt.Bmcast_platform.Runtime.block_read ~lba:0 ~count:8
+          (Bmcast_storage.Content.zeroes ~count:8);
         Vmm.wait_devirtualized vmm;
         out := fio_pair rt ~read_lba:0 ~write_lba:(1024 * mb));
     let read_mb_s, write_mb_s = !out in

@@ -29,8 +29,8 @@ let measure () =
     let out = ref None in
     Stacks.run env (fun () ->
         let rt, vmm = Stacks.bmcast env m () in
-        ignore (rt.Bmcast_platform.Runtime.block_read ~lba:0 ~count:8
-                : Bmcast_storage.Content.t array);
+        rt.Bmcast_platform.Runtime.block_read ~lba:0 ~count:8
+          (Bmcast_storage.Content.zeroes ~count:8);
         (* Let the copy cover the probe span (1 GB) so probes measure
            multiplexing delay, not copy-on-read fetches. *)
         while Vmm.progress vmm *. 8.0 < 1.1 do
@@ -45,8 +45,8 @@ let measure () =
     let out = ref None in
     Stacks.run env (fun () ->
         let rt, vmm = Stacks.bmcast env m () in
-        ignore (rt.Bmcast_platform.Runtime.block_read ~lba:0 ~count:8
-                : Bmcast_storage.Content.t array);
+        rt.Bmcast_platform.Runtime.block_read ~lba:0 ~count:8
+          (Bmcast_storage.Content.zeroes ~count:8);
         Vmm.wait_devirtualized vmm;
         out := Some (probe "BMcast devirt" rt));
     Option.get !out

@@ -35,17 +35,17 @@ let one ~guest_op (interval_label, interval) =
          guest reads hit the local disk. *)
       (match guest_op with
       | `Read ->
+        let buf = Bmcast_storage.Content.zeroes ~count:2048 in
         let rec warm lba =
           if lba < 320 * mb then begin
-            ignore (rt.Bmcast_platform.Runtime.block_read ~lba ~count:2048
-                    : Bmcast_storage.Content.t array);
+            rt.Bmcast_platform.Runtime.block_read ~lba ~count:2048 buf;
             warm (lba + 2048)
           end
         in
         warm 0
       | `Write ->
-        ignore (rt.Bmcast_platform.Runtime.block_read ~lba:0 ~count:8
-                : Bmcast_storage.Content.t array));
+        rt.Bmcast_platform.Runtime.block_read ~lba:0 ~count:8
+          (Bmcast_storage.Content.zeroes ~count:8));
       (* Give the redirect write-backs a moment to drain. *)
       Sim.sleep (Time.s 2);
       let bg0 = (Vmm.totals vmm).Vmm.background_bytes in

@@ -279,7 +279,8 @@ let deploy_fleet ?(seed = 42) ?(image_mb = 256)
                   { Runtime.label = "bmcast";
                     machine = m;
                     block_read =
-                      (fun ~lba ~count -> Block_io.read blk ~lba ~count);
+                      (fun ~lba ~count dst ->
+                        Block_io.read_into blk ~lba ~count dst);
                     block_write =
                       (fun ~lba ~count data ->
                         Block_io.write blk ~lba ~count data);

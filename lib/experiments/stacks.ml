@@ -62,7 +62,8 @@ let bare env m =
   let blk = Block_io.attach m in
   { Runtime.label = "bare-metal";
     machine = m;
-    block_read = (fun ~lba ~count -> Block_io.read blk ~lba ~count);
+    block_read =
+      (fun ~lba ~count dst -> Block_io.read_into blk ~lba ~count dst);
     block_write = (fun ~lba ~count data -> Block_io.write blk ~lba ~count data);
     cpu = Cpu_model.bare ();
     phase = (fun () -> Runtime.Bare) }
@@ -76,7 +77,8 @@ let bmcast env m ?params () =
   let runtime =
     { Runtime.label = "bmcast";
       machine = m;
-      block_read = (fun ~lba ~count -> Block_io.read blk ~lba ~count);
+      block_read =
+      (fun ~lba ~count dst -> Block_io.read_into blk ~lba ~count dst);
       block_write = (fun ~lba ~count data -> Block_io.write blk ~lba ~count data);
       cpu = Vmm.cpu_model vmm;
       phase = (fun () -> Vmm.phase vmm) }

@@ -15,7 +15,20 @@ val attach : Bmcast_platform.Machine.t -> t
 
     @raise Invalid_argument on an IDE machine. *)
 
-val read : t -> lba:int -> count:int -> Bmcast_storage.Content.t array
-(** Blocking read (process context). One command per request. *)
+val read_into :
+  t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> unit
+(** [read_into t ~lba ~count dst] reads [count] sectors into
+    [dst.(0 .. count - 1)] (process context), as read(2) fills a
+    caller's buffer: the device transfers straight into [dst], one
+    command per request. Sectors the device does not transfer (a command
+    a VMM turns into a dummy read) keep what [dst] held.
 
-val write : t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> unit
+    @raise Invalid_argument naming the driver, before any register
+    access, unless [0 < count <= Array.length dst]. *)
+
+val write :
+  t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> unit
+(** Write [data.(0 .. count - 1)] (process context). The device reads
+    [data] itself, which must not change until the call returns.
+
+    @raise Invalid_argument as {!read_into} does. *)

@@ -20,10 +20,15 @@ let attach machine =
   | Some _ | None ->
     invalid_arg "Block_io.attach: no storage controller found on PCI"
 
-let read t ~lba ~count =
+let read_into t ~lba ~count dst =
   match t with
-  | A d -> Ahci_driver.read d ~lba ~count
-  | I d -> Ide_driver.read d ~lba ~count
+  | A d -> Ahci_driver.read_into d ~lba ~count dst
+  | I d -> Ide_driver.read_into d ~lba ~count dst
+
+let read t ~lba ~count =
+  let dst = Bmcast_storage.Content.zeroes ~count:(max 0 count) in
+  read_into t ~lba ~count dst;
+  dst
 
 let write t ~lba ~count data =
   match t with

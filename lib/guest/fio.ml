@@ -10,14 +10,12 @@ let run op runtime ~total_bytes ~block_bytes ~start_lba =
     invalid_arg "Fio: block size must be a positive multiple of 512";
   let block_sectors = block_bytes / 512 in
   let ops = total_bytes / block_bytes in
+  let block = Content.zeroes ~count:block_sectors in
   let t0 = Sim.clock () in
   for i = 0 to ops - 1 do
     let lba = start_lba + (i * block_sectors) in
     match op with
-    | `Read ->
-      ignore
-        (runtime.Runtime.block_read ~lba ~count:block_sectors
-          : Content.t array)
+    | `Read -> runtime.Runtime.block_read ~lba ~count:block_sectors block
     | `Write ->
       runtime.Runtime.block_write ~lba ~count:block_sectors
         (Content.data_sectors ~count:block_sectors)

@@ -1,19 +1,22 @@
 module Sim = Bmcast_engine.Sim
 module Semaphore = Bmcast_engine.Semaphore
-module Signal = Bmcast_engine.Signal
 module Pio = Bmcast_hw.Pio
 module Irq = Bmcast_hw.Irq
-module Content = Bmcast_storage.Content
 module Dma = Bmcast_storage.Dma
 module Ide = Bmcast_storage.Ide
 module Machine = Bmcast_platform.Machine
 
+(* Built at attach and rewritten in place, as in [Ahci_driver]. *)
 type t = {
   machine : Machine.t;
   ide : Ide.t;
   prdt_addr : int;  (* the PRD table, rewritten for every command *)
+  prd : Dma.prd;  (* its one entry: [buf], [sectors] per command *)
+  prdt : Dma.prd list;  (* [[prd]], stored into the table per command *)
+  buf : Dma.buf;  (* bound to a window of the caller's array per command *)
   lock : Semaphore.t;
-  mutable completion : Signal.Latch.t option;
+  in_flight : bool ref;  (* issued, not completed; [completed]'s predicate *)
+  completed : Sim.wait_queue;  (* the requester, until [in_flight] clears *)
 }
 
 let inp t port = Pio.inp t.machine.Machine.pio port
@@ -25,11 +28,10 @@ let isr t () =
   let status = inp t (Machine.ide_cmd_base + Ide.Regs.command) in
   if status land Ide.status_bsy = 0 then begin
     outp t (Machine.ide_bm_base + Ide.Bm.status) 0x04;
-    match t.completion with
-    | Some latch ->
-      t.completion <- None;
-      Signal.Latch.set latch
-    | None -> ()
+    if !(t.in_flight) then begin
+      t.in_flight := false;
+      Sim.wake_all t.completed
+    end
   end
 
 let attach machine =
@@ -38,21 +40,31 @@ let attach machine =
     | Machine.Ide i -> i
     | Machine.Ahci _ -> invalid_arg "Ide_driver.attach: machine has AHCI disk"
   in
+  let buf = Dma.bindable machine.Machine.dma in
+  let prd = { Dma.buf_addr = buf.Dma.addr; sectors = 0 } in
+  let in_flight = ref false in
   let t =
     { machine;
       ide;
       prdt_addr = Ide.register_prdt ide [];
+      prd;
+      prdt = [ prd ];
+      buf;
       lock = Semaphore.create 1;
-      completion = None }
+      in_flight;
+      completed =
+        Sim.wait_queue machine.Machine.sim (fun () -> not !in_flight) }
   in
   Irq.register machine.Machine.irq ~vec:Machine.disk_irq_vec (isr t);
   t
 
-let one_command t op ~lba ~count buf =
-  let latch = Signal.Latch.create () in
-  t.completion <- Some latch;
-  Ide.set_prdt t.ide ~addr:t.prdt_addr
-    [ { Ide.buf_addr = buf.Dma.addr; sectors = Array.length buf.Dma.data } ];
+(* One command moves [data.(pos .. pos + count - 1)]; the task file
+   carries [count] in 8 bits (0 means 256). *)
+let one_command t op ~lba ~count data ~pos =
+  t.in_flight := true;
+  Dma.bind t.buf data ~pos ~sectors:count;
+  t.prd.Dma.sectors <- count;
+  Ide.set_prdt t.ide ~addr:t.prdt_addr t.prdt;
   outp t (Machine.ide_bm_base + Ide.Bm.prdt) t.prdt_addr;
   outp t (Machine.ide_cmd_base + Ide.Regs.seccount) (count land 0xFF);
   outp t (Machine.ide_cmd_base + Ide.Regs.lba0) (lba land 0xFF);
@@ -65,51 +77,43 @@ let one_command t op ~lba ~count buf =
     (match op with `Read -> Ide.cmd_read_dma | `Write -> Ide.cmd_write_dma);
   outp t (Machine.ide_bm_base + Ide.Bm.command)
     (0x01 lor match op with `Read -> 0x08 | `Write -> 0x00);
-  Signal.Latch.wait latch
+  Sim.wait t.completed
 
-(* The task file carries an 8-bit sector count (0 means 256). *)
+(* The task file's 8-bit sector count caps a command at 256 sectors. *)
 let max_per_command = 256
 
-let read t ~lba ~count =
-  let dma = t.machine.Machine.dma in
-  Semaphore.with_permit t.lock (fun () ->
-      if count > 0 && count <= max_per_command then begin
-        let buf = Dma.alloc dma ~sectors:count in
-        one_command t `Read ~lba ~count:(count land 0xFF) buf;
-        (* Once freed, the buffer is unreachable: its array is the
-           result, as in [Ahci_driver.read]. *)
-        Dma.free dma buf;
-        buf.Dma.data
-      end
-      else begin
-        let out = Content.zeroes ~count in
-        let rec go off =
-          if off < count then begin
-            let n = min max_per_command (count - off) in
-            let buf = Dma.alloc dma ~sectors:n in
-            one_command t `Read ~lba:(lba + off) ~count:(n land 0xFF) buf;
-            Content.blit buf.Dma.data 0 out off n;
-            Dma.free dma buf;
-            go (off + n)
-          end
-        in
-        go 0;
-        out
-      end)
+(* Requests larger than one command run as several, each on the next
+   window of [data]. *)
+let rec commands t op ~lba ~count data ~off =
+  if off < count then begin
+    let n = min max_per_command (count - off) in
+    one_command t op ~lba:(lba + off) ~count:n data ~pos:off;
+    commands t op ~lba ~count data ~off:(off + n)
+  end
+
+let check what ~count data =
+  if count <= 0 || count > Array.length data then
+    invalid_arg
+      (Printf.sprintf "Ide_driver.%s: count %d outside 1..%d (the buffer)"
+         what count (Array.length data))
+
+(* The permit and the binding are given back on an exception too. *)
+let submit t op ~lba ~count data =
+  Semaphore.acquire t.lock;
+  match commands t op ~lba ~count data ~off:0 with
+  | () ->
+    Dma.unbind t.buf;
+    Semaphore.release t.lock
+  | exception e ->
+    t.in_flight := false;
+    Dma.unbind t.buf;
+    Semaphore.release t.lock;
+    raise e
+
+let read_into t ~lba ~count dst =
+  check "read_into" ~count dst;
+  submit t `Read ~lba ~count dst
 
 let write t ~lba ~count data =
-  if Array.length data <> count then
-    invalid_arg "Ide_driver.write: data length mismatch";
-  let dma = t.machine.Machine.dma in
-  Semaphore.with_permit t.lock (fun () ->
-      let rec go off =
-        if off < count then begin
-          let n = min max_per_command (count - off) in
-          let buf = Dma.alloc dma ~sectors:n in
-          Dma.blit_to buf ~off:0 data ~src_off:off ~count:n;
-          one_command t `Write ~lba:(lba + off) ~count:(n land 0xFF) buf;
-          Dma.free dma buf;
-          go (off + n)
-        end
-      in
-      go 0)
+  check "write" ~count data;
+  submit t `Write ~lba ~count data

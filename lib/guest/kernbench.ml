@@ -34,22 +34,19 @@ let run runtime ?(jobs = 12) ?(tasks = 384) () =
   let obj_base = src_lba + (tasks * src_sectors) in
   for j = 0 to jobs - 1 do
     Sim.spawn ~name:(Printf.sprintf "cc-job%d" j) (fun () ->
+        let buf = Content.zeroes ~count:(max src_sectors header_sectors) in
         let rec loop () =
           let i = !next in
           if i < tasks then begin
             next := i + 1;
-            ignore
-              (runtime.Runtime.block_read ~lba:(src_lba + (i * src_sectors))
-                 ~count:src_sectors
-                : Content.t array);
+            runtime.Runtime.block_read ~lba:(src_lba + (i * src_sectors))
+              ~count:src_sectors buf;
             for _ = 1 to header_reads do
               let lba =
                 hdr_base
                 + Bmcast_engine.Prng.int prng (header_span_sectors - header_sectors)
               in
-              ignore
-                (runtime.Runtime.block_read ~lba ~count:header_sectors
-                  : Content.t array)
+              runtime.Runtime.block_read ~lba ~count:header_sectors buf
             done;
             Runtime.cpu_run runtime ~core:(j mod 12) ~work:cpu_per_task
               ~mem_intensity:compile_mem_intensity;

@@ -74,9 +74,14 @@ let boot runtime ?(profile = default_profile) () =
   let ops = trace prng profile in
   let n = List.length ops in
   let cpu_slice = Time.div profile.cpu_total (max 1 n) in
+  (* One buffer, sized to the largest read, serves every read. *)
+  let buf =
+    Bmcast_storage.Content.zeroes
+      ~count:(List.fold_left (fun m (_, count) -> max m count) 0 ops)
+  in
   List.iter
     (fun (lba, count) ->
-      ignore (runtime.Runtime.block_read ~lba ~count : Bmcast_storage.Content.t array);
+      runtime.Runtime.block_read ~lba ~count buf;
       Runtime.cpu_run runtime ~core:0 ~work:cpu_slice
         ~mem_intensity:profile.cpu_mem_intensity)
     ops

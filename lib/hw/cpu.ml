@@ -87,29 +87,30 @@ let set_unavailable_until (c : core) until =
     arm_wakeup c
   end
 
+(* A top-level loop, so a burst builds no closure. *)
+let rec run_for (c : core) remaining =
+  if remaining > 0 then
+    if not c.interference_seen then Sim.sleep remaining
+    else if is_available c then begin
+      (* Run until done or until a preemption window begins.  Windows
+         are only known once set, so run in bounded slices when a
+         future window could cut in; a 1 ms slice bounds the error. *)
+      let slice = min remaining (Time.ms 1) in
+      Sim.sleep slice;
+      (* If a window opened mid-slice we charge it as stall below on
+         the next iteration. *)
+      run_for c (remaining - slice)
+    end
+    else begin
+      let stall_start = Sim.clock () in
+      Sim.wait c.available;
+      c.stall_time <- c.stall_time + Time.diff (Sim.clock ()) stall_start;
+      run_for c remaining
+    end
+
 let run (c : core) span =
   if span < 0 then invalid_arg "Cpu.run: negative span";
-  let rec loop remaining =
-    if remaining > 0 then
-      if not c.interference_seen then Sim.sleep remaining
-      else if is_available c then begin
-        (* Run until done or until a preemption window begins.  Windows
-           are only known once set, so run in bounded slices when a
-           future window could cut in; a 1 ms slice bounds the error. *)
-        let slice = min remaining (Time.ms 1) in
-        Sim.sleep slice;
-        (* If a window opened mid-slice we charge it as stall below on
-           the next iteration. *)
-        loop (remaining - slice)
-      end
-      else begin
-        let stall_start = Sim.clock () in
-        Sim.wait c.available;
-        c.stall_time <- c.stall_time + Time.diff (Sim.clock ()) stall_start;
-        loop remaining
-      end
-  in
-  loop span
+  run_for c span
 
 let stall_time (c : core) = c.stall_time
 

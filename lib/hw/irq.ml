@@ -3,13 +3,11 @@ module Time = Bmcast_engine.Time
 
 let delivery_latency = Time.us 2
 
-(* The ISR's process name is built once, at registration. *)
-type handler = { name : string; isr : unit -> unit }
-
-(* Per-vector state, grown to the highest vector used. *)
+(* Per-vector state, grown to the highest vector used. An ISR is a
+   process built once, at registration, so a delivery only queues it. *)
 type t = {
   sim : Sim.t;
-  mutable handlers : handler option array;
+  mutable handlers : Sim.process option array;
   mutable counts : int array;
   mutable spurious : int;
 }
@@ -29,7 +27,8 @@ let grow t vec =
 let register t ~vec isr =
   check_vec vec;
   grow t vec;
-  t.handlers.(vec) <- Some { name = Printf.sprintf "isr-vec%d" vec; isr }
+  t.handlers.(vec) <-
+    Some (Sim.process t.sim ~name:(Printf.sprintf "isr-vec%d" vec) isr)
 
 let unregister t ~vec =
   check_vec vec;
@@ -40,10 +39,7 @@ let raise_irq t ~vec =
   grow t vec;
   t.counts.(vec) <- t.counts.(vec) + 1;
   match t.handlers.(vec) with
-  | Some h ->
-    Sim.spawn_at t.sim ~name:h.name
-      (Time.add (Sim.now t.sim) delivery_latency)
-      h.isr
+  | Some isr -> Sim.start_at isr (Time.add (Sim.now t.sim) delivery_latency)
   | None -> t.spurious <- t.spurious + 1
 
 let delivered t ~vec =

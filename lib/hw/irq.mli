@@ -16,8 +16,10 @@ val create : Bmcast_engine.Sim.t -> t
 
 val register : t -> vec:int -> (unit -> unit) -> unit
 (** Install the ISR for a vector (replacing any previous one). The ISR
-    runs as a simulation process named [isr-vec<N>]; the name is built
-    here, once, not on every delivery. *)
+    runs as a simulation process named [isr-vec<N>], built here, once
+    (see {!Bmcast_engine.Sim.process}): a delivery allocates nothing.
+    Deliveries closer together than the ISR's run overlap, each on its
+    own fiber. *)
 
 val unregister : t -> vec:int -> unit
 

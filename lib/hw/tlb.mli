@@ -17,5 +17,15 @@ type mode =
   | Nested_paging_host  (** full VMM + host OS cache pollution (KVM) *)
 
 val slowdown : mode -> mem_intensity:float -> float
-(** Multiplicative execution-time factor, >= 1.0.
+(** Multiplicative execution-time factor, >= 1.0:
+    [1 +. mem_intensity *. tax mode].
     Raises [Invalid_argument] unless [0 <= mem_intensity <= 1]. *)
+
+val tax : mode -> float
+(** Slowdown at [mem_intensity = 1], minus one: 0 for [Native]. A
+    constant per mode, so a caller in another module can compute
+    {!slowdown} in its own body without a boxed float crossing the
+    module boundary. *)
+
+val check_intensity : float -> unit
+(** Raises what {!slowdown} raises on an intensity outside [0, 1]. *)

@@ -25,13 +25,20 @@ let clear t =
   t.exit_overhead <- 0.0;
   t.yield_cost <- 0
 
+let ns_per_s = float_of_int (Time.s 1)
+
+(* [Time.of_float_s (Time.to_float_s work *. Tlb.slowdown ... *. ...)],
+   computed in one body: with separate compilation a float returned
+   from or passed to another module is boxed, and a guest CPU burst
+   must not allocate. [Tlb.tax] returns a preallocated constant. *)
 let stretch t ~work ~mem_intensity =
+  Tlb.check_intensity mem_intensity;
   let f =
-    Tlb.slowdown t.tlb_mode ~mem_intensity
+    (1.0 +. (mem_intensity *. Tlb.tax t.tlb_mode))
     *. (1.0 +. t.exit_overhead)
     /. (1.0 -. t.steal)
   in
-  Time.of_float_s (Time.to_float_s work *. f)
+  int_of_float (Float.round (float_of_int work /. ns_per_s *. f *. ns_per_s))
 
 let run cpu t ~core ~work ~mem_intensity =
   Cpu.run (Cpu.core cpu core) (stretch t ~work ~mem_intensity)

@@ -9,7 +9,7 @@ let pp_phase fmt = function
 type t = {
   label : string;
   machine : Machine.t;
-  block_read : lba:int -> count:int -> Bmcast_storage.Content.t array;
+  block_read : lba:int -> count:int -> Bmcast_storage.Content.t array -> unit;
   block_write : lba:int -> count:int -> Bmcast_storage.Content.t array -> unit;
   cpu : Cpu_model.t;
   phase : unit -> phase;

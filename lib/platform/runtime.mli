@@ -19,8 +19,10 @@ val pp_phase : Format.formatter -> phase -> unit
 type t = {
   label : string;
   machine : Machine.t;
-  block_read : lba:int -> count:int -> Bmcast_storage.Content.t array;
-      (** blocking read through the guest's storage driver *)
+  block_read : lba:int -> count:int -> Bmcast_storage.Content.t array -> unit;
+      (** [block_read ~lba ~count dst]: blocking read through the guest's
+          storage driver into [dst.(0 .. count - 1)], as read(2) fills a
+          caller's buffer ([dst] holds at least [count] sectors) *)
   block_write : lba:int -> count:int -> Bmcast_storage.Content.t array -> unit;
   cpu : Cpu_model.t;
   phase : unit -> phase;

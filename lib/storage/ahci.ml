@@ -1,18 +1,18 @@
 module Sim = Bmcast_engine.Sim
 module Time = Bmcast_engine.Time
-module Mailbox = Bmcast_engine.Mailbox
+module Ring = Bmcast_engine.Ring
 module Mmio = Bmcast_hw.Mmio
 module Irq = Bmcast_hw.Irq
 
-module Fis = struct
-  type op = Read | Write
+type op = Read | Write
+type prd = Dma.prd = { buf_addr : int; mutable sectors : int }
 
-  type t = { op : op; lba : int; count : int }
-end
-
-type prd = Dma.prd = { buf_addr : int; sectors : int }
-
-type cmd_table = { mutable fis : Fis.t; mutable prdt : prd list }
+type cmd_table = {
+  mutable op : op;
+  mutable lba : int;
+  mutable count : int;
+  mutable prdt : prd list;
+}
 
 module Regs = struct
   let px_clb = 0x100
@@ -52,7 +52,8 @@ type t = {
      [structs.(i)] *)
   mutable structs : structure array;
   (* service *)
-  work : int Mailbox.t;  (* slots awaiting service, FIFO *)
+  work : int Ring.t;  (* slots awaiting service, FIFO *)
+  work_ready : Sim.wait_queue;  (* the service loop, while [work] is empty *)
   mutable serving : bool;
   mutable commands_processed : int;
   mutable irqs_raised : int;
@@ -85,7 +86,8 @@ let find_cmd_list t addr =
   | Cmd_table _ | (exception Not_found) ->
     invalid_arg (Printf.sprintf "Ahci: no command list at 0x%x" addr)
 
-let alloc_cmd_table t fis prdt = add_structure t (Cmd_table { fis; prdt })
+let alloc_cmd_table t ~op ~lba ~count prdt =
+  add_structure t (Cmd_table { op; lba; count; prdt })
 
 let cmd_table t ~addr =
   match structure t addr with
@@ -113,8 +115,8 @@ let execute t slot =
   let table_addr = slot_table_addr t ~clb:t.clb ~slot in
   let ct = cmd_table t ~addr:table_addr in
   Sim.sleep command_overhead;
-  let { Fis.op; lba; count } = ct.fis in
-  let prd_total = List.fold_left (fun acc p -> acc + p.sectors) 0 ct.prdt in
+  let lba = ct.lba and count = ct.count in
+  let prd_total = Dma.prd_sectors ct.prdt in
   if prd_total < count then
     invalid_arg
       (Printf.sprintf "Ahci: PRDT covers %d sectors but command needs %d"
@@ -122,33 +124,15 @@ let execute t slot =
   (* Sector staging between disk and PRD buffers goes through a pooled
      scratch array; both directions copy, so the buffer is dead again by
      the end of the command. *)
-  (match op with
-  | Fis.Read ->
+  (match ct.op with
+  | Read ->
     let data = Content.Scratch.alloc count in
     Disk.read_into t.disk ~lba ~count data;
-    let off = ref 0 in
-    List.iter
-      (fun prd ->
-        if !off < count then begin
-          let n = min prd.sectors (count - !off) in
-          let buf = Dma.find t.dma ~addr:prd.buf_addr in
-          Dma.blit_to buf ~off:0 data ~src_off:!off ~count:n;
-          off := !off + n
-        end)
-      ct.prdt;
+    Dma.scatter t.dma ct.prdt data ~count;
     Content.Scratch.release data
-  | Fis.Write ->
+  | Write ->
     let data = Content.Scratch.alloc count in
-    let off = ref 0 in
-    List.iter
-      (fun prd ->
-        if !off < count then begin
-          let n = min prd.sectors (count - !off) in
-          let buf = Dma.find t.dma ~addr:prd.buf_addr in
-          Dma.blit_from buf ~off:0 data ~dst_off:!off ~count:n;
-          off := !off + n
-        end)
-      ct.prdt;
+    Dma.gather t.dma ct.prdt data ~count;
     Disk.write t.disk ~lba ~count data;
     Content.Scratch.release data);
   t.commands_processed <- t.commands_processed + 1;
@@ -161,10 +145,11 @@ let execute t slot =
   end
 
 let rec service_loop t =
-  let slot = Mailbox.recv t.work in
+  Sim.wait t.work_ready;
+  let slot = Ring.pop t.work in
   t.serving <- true;
   execute t slot;
-  t.serving <- not (Mailbox.is_empty t.work);
+  t.serving <- not (Ring.is_empty t.work);
   service_loop t
 
 (* --- registers --- *)
@@ -175,7 +160,7 @@ let reg_read t off =
   else if off = Regs.px_ie then t.ie
   else if off = Regs.px_cmd then t.cmd
   else if off = Regs.px_tfd then
-    if t.serving || not (Mailbox.is_empty t.work) then tfd_bsy else 0
+    if t.serving || not (Ring.is_empty t.work) then tfd_bsy else 0
   else if off = Regs.px_ci then t.ci
   else invalid_arg (Printf.sprintf "Ahci: read of unknown register 0x%x" off)
 
@@ -192,7 +177,8 @@ let reg_write t off v =
       let bit = 1 lsl slot in
       if v land bit <> 0 && t.ci land bit = 0 then begin
         t.ci <- t.ci lor bit;
-        ignore (Mailbox.try_send t.work slot : bool)
+        Ring.push t.work slot;
+        Sim.wake_all t.work_ready
       end
     done
   end
@@ -202,6 +188,7 @@ let raw_handler t =
   { Mmio.read = reg_read t; write = reg_write t }
 
 let create sim ~mmio ~base ~dma ~disk ~irq ~irq_vec =
+  let work = Ring.create () in
   let t =
     { sim;
       dma;
@@ -214,7 +201,8 @@ let create sim ~mmio ~base ~dma ~disk ~irq ~irq_vec =
       cmd = 0;
       ci = 0;
       structs = [||];
-      work = Mailbox.create ();
+      work;
+      work_ready = Sim.wait_queue sim (fun () -> not (Ring.is_empty work));
       serving = false;
       commands_processed = 0;
       irqs_raised = 0 }

@@ -12,17 +12,21 @@
     can be read {e and rewritten} by a mediator before the device sees
     them — the paper's command-manipulation trick (§3.2). *)
 
-module Fis : sig
-  type op = Read | Write
+type op = Read | Write
 
-  type t = { op : op; lba : int; count : int }
-  (** Command FIS essentials: operation, LBA, sector count. *)
-end
-
-type prd = Dma.prd = { buf_addr : int; sectors : int }
+type prd = Dma.prd = { buf_addr : int; mutable sectors : int }
 (** One physical-region-descriptor entry. *)
 
-type cmd_table = { mutable fis : Fis.t; mutable prdt : prd list }
+type cmd_table = {
+  mutable op : op;
+  mutable lba : int;
+  mutable count : int;
+  mutable prdt : prd list;
+}
+(** A command table: the command FIS essentials (operation, LBA, sector
+    count) and the PRD table. Guest memory, rewritten in place: a driver
+    stores each command into its slot's table, and a mediator may
+    rewrite it before the device fetches it. *)
 
 (** Register byte offsets within the controller's MMIO region:
     [px_clb] command list base, [px_is] interrupt status (RW1C), [px_ie]
@@ -67,11 +71,11 @@ val alloc_cmd_list : t -> int
 (** Allocate a 32-slot command list, returning its address (the value a
     driver writes to PxCLB). *)
 
-val alloc_cmd_table : t -> Fis.t -> prd list -> int
+val alloc_cmd_table : t -> op:op -> lba:int -> count:int -> prd list -> int
 (** Build a command table in guest memory; returns its address. The
     table lives as long as the controller, so a driver allocates one per
-    slot it uses and rewrites its [fis] and [prdt] for each command, as
-    a real AHCI driver does. *)
+    slot it uses and rewrites its fields for each command, as a real
+    AHCI driver does. *)
 
 val cmd_table : t -> addr:int -> cmd_table
 (** Dereference a command table (driver or mediator).

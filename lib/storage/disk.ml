@@ -130,6 +130,11 @@ let check_span t ~lba ~count =
 
 (* --- content --- *)
 
+(* One mapped piece of a [peek_into] read; zero runs are left as they
+   are. Closed, so passing it builds no closure. *)
+let fill_piece out ~off ~lba:pos ~count:n run =
+  if run <> 0 then Content.fill_run out off n ~run ~pos
+
 (* Materialize into a caller-owned buffer (often a [Content.Scratch]
    array): the hot read paths stage sectors through here without a fresh
    array per call. The buffer region must be all-[zero] on entry
@@ -138,8 +143,7 @@ let check_span t ~lba ~count =
 let peek_into t ~lba ~count out =
   check_span t ~lba ~count;
   if count > Array.length out then invalid_arg "Disk.peek_into: buffer too short";
-  Extent_map.iter_range t.extents ~lba ~count ~f:(fun ~lba:pos ~count:n run ->
-      if run <> 0 then Content.fill_run out (pos - lba) n ~run ~pos)
+  Extent_map.iter_range t.extents ~lba ~count out ~f:fill_piece
 
 let peek t ~lba ~count =
   check_span t ~lba ~count;

@@ -130,13 +130,15 @@ let get t lba =
   let k = first_ending_after t lba in
   if k < t.n && t.starts.(k) <= lba then Some t.vals.(k) else None
 
-let iter_range t ~lba ~count ~f =
+let iter_range t ~lba ~count x ~f =
   check_range ~lba ~count;
   let fin = lba + count in
   let k = ref (first_ending_after t lba) in
   while !k < t.n && t.starts.(!k) < fin do
     let start = Int.max lba t.starts.(!k) in
-    f ~lba:start ~count:(Int.min fin (end_of t !k) - start) t.vals.(!k);
+    f x ~off:(start - lba) ~lba:start
+      ~count:(Int.min fin (end_of t !k) - start)
+      t.vals.(!k);
     incr k
   done
 

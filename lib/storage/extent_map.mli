@@ -23,10 +23,18 @@ val get : t -> int -> int option
 (** Value at a single LBA. *)
 
 val iter_range :
-  t -> lba:int -> count:int -> f:(lba:int -> count:int -> int -> unit) -> unit
-(** [f] on every mapped piece of [\[lba, lba+count)], each an extent
-    clipped to the range, in ascending LBA order; the LBAs between
-    pieces are unmapped. [f] must not modify the map. *)
+  t ->
+  lba:int ->
+  count:int ->
+  'a ->
+  f:('a -> off:int -> lba:int -> count:int -> int -> unit) ->
+  unit
+(** [iter_range t ~lba ~count x ~f] calls [f x ~off ~lba ~count v] on
+    every mapped piece of [\[lba, lba+count)], each an extent clipped to
+    the range, in ascending LBA order; [off] is the piece's offset from
+    the range's start, and the LBAs between pieces are unmapped. [x] is
+    passed through, so a caller's [f] can be a closed top-level function
+    and a call builds no closure. [f] must not modify the map. *)
 
 val extent_count : t -> int
 (** Number of stored extents (a compactness measure). *)

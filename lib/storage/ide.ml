@@ -29,7 +29,7 @@ end
 
 let ctrl_nien = 0x02
 
-type prd = Dma.prd = { buf_addr : int; sectors : int }
+type prd = Dma.prd = { buf_addr : int; mutable sectors : int }
 
 (* Per-command controller overhead; IDE has higher per-command cost than
    AHCI (PIO register programming, legacy protocol). *)
@@ -58,10 +58,17 @@ type t = {
      [prdts.(i)] *)
   mutable prdts : prd list array;
   (* pending command armed by a command-register write, executed when the
-     bus master is started *)
-  mutable armed : int option;
+     bus master is started; [no_command] when none *)
+  mutable armed : int;
+  mutable dma_cmd : int;  (* the command [dma_run] executes *)
+  (* the device's command processes, built once at create: a DMA
+     command started by the bus master and FLUSH CACHE *)
+  mutable dma_run : Sim.process;
+  mutable flush_run : Sim.process;
   mutable commands_processed : int;
 }
+
+let no_command = -1
 
 let commands_processed t = t.commands_processed
 
@@ -100,32 +107,13 @@ let execute t cmd =
   (if cmd = cmd_read_dma then begin
      let data = Content.Scratch.alloc count in
      Disk.read_into t.disk ~lba ~count data;
-     let prds = prdt t ~addr:t.bm_prdt in
-     let off = ref 0 in
-     List.iter
-       (fun prd ->
-         if !off < count then begin
-           let n = min prd.sectors (count - !off) in
-           let buf = Dma.find t.dma ~addr:prd.buf_addr in
-           Dma.blit_to buf ~off:0 data ~src_off:!off ~count:n;
-           off := !off + n
-         end)
-       prds;
+     Dma.scatter t.dma (prdt t ~addr:t.bm_prdt) data ~count;
      Content.Scratch.release data
    end
    else if cmd = cmd_write_dma then begin
      let prds = prdt t ~addr:t.bm_prdt in
      let data = Content.Scratch.alloc count in
-     let off = ref 0 in
-     List.iter
-       (fun prd ->
-         if !off < count then begin
-           let n = min prd.sectors (count - !off) in
-           let buf = Dma.find t.dma ~addr:prd.buf_addr in
-           Dma.blit_from buf ~off:0 data ~dst_off:!off ~count:n;
-           off := !off + n
-         end)
-       prds;
+     Dma.gather t.dma prds data ~count;
      Disk.write t.disk ~lba ~count data;
      Content.Scratch.release data
    end
@@ -140,17 +128,16 @@ let execute t cmd =
   end
 
 let start_bus_master t =
-  match t.armed with
-  | None -> invalid_arg "Ide: bus master started with no command armed"
-  | Some cmd ->
-    t.armed <- None;
-    (* BSY asserts the moment DMA starts — before any simulated time
-       passes — so no other agent can observe an idle device and clobber
-       the task file. *)
-    t.status <- status_bsy;
-    t.bm_status <- t.bm_status lor 0x01;
-    Sim.spawn_at t.sim ~name:"ide-execute" (Sim.now t.sim) (fun () ->
-        execute t cmd)
+  if t.armed = no_command then
+    invalid_arg "Ide: bus master started with no command armed";
+  t.dma_cmd <- t.armed;
+  t.armed <- no_command;
+  (* BSY asserts the moment DMA starts — before any simulated time
+     passes — so no other agent can observe an idle device and clobber
+     the task file (or [dma_cmd] before [dma_run] reads it). *)
+  t.status <- status_bsy;
+  t.bm_status <- t.bm_status lor 0x01;
+  Sim.start_at t.dma_run (Sim.now t.sim)
 
 (* --- task file handlers --- *)
 
@@ -177,10 +164,9 @@ let cmd_outp t off v =
     if v = cmd_flush then begin
       (* Non-DMA command: executes immediately (BSY asserts now). *)
       t.status <- status_bsy;
-      Sim.spawn_at t.sim ~name:"ide-flush" (Sim.now t.sim) (fun () ->
-          execute t v)
+      Sim.start_at t.flush_run (Sim.now t.sim)
     end
-    else t.armed <- Some v
+    else t.armed <- v
   end
   else invalid_arg (Printf.sprintf "Ide: write of unknown task-file port %d" off)
 
@@ -219,6 +205,8 @@ let raw_bm t = { Pio.inp = bm_inp t; outp = bm_outp t }
 let raw_ctrl t = { Pio.inp = ctrl_inp t; outp = ctrl_outp t }
 
 let create sim ~pio ~cmd_base ~bm_base ~ctrl_base ~dma ~disk ~irq ~irq_vec =
+  (* A process's body needs [t]: both are set right below. *)
+  let unset = Sim.process sim ~name:"ide" ignore in
   let t =
     { sim;
       dma;
@@ -236,9 +224,16 @@ let create sim ~pio ~cmd_base ~bm_base ~ctrl_base ~dma ~disk ~irq ~irq_vec =
       bm_prdt = 0;
       ctrl = 0;
       prdts = [||];
-      armed = None;
+      armed = no_command;
+      dma_cmd = no_command;
+      dma_run = unset;
+      flush_run = unset;
       commands_processed = 0 }
   in
+  t.dma_run <-
+    Sim.process sim ~name:"ide-execute" (fun () -> execute t t.dma_cmd);
+  t.flush_run <-
+    Sim.process sim ~name:"ide-flush" (fun () -> execute t cmd_flush);
   Pio.map pio ~base:cmd_base ~count:8 (raw_cmd t);
   Pio.map pio ~base:bm_base ~count:8 (raw_bm t);
   Pio.map pio ~base:ctrl_base ~count:1 (raw_ctrl t);

@@ -43,7 +43,7 @@ end
 val ctrl_nien : int
 (** Bit: interrupts disabled. *)
 
-type prd = Dma.prd = { buf_addr : int; sectors : int }
+type prd = Dma.prd = { buf_addr : int; mutable sectors : int }
 
 type t
 

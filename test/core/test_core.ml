@@ -699,12 +699,12 @@ let test_multi_slot_guest_commands () =
       let buf0 = Dma.alloc rig.machine.Machine.dma ~sectors:16 in
       let buf1 = Dma.alloc rig.machine.Machine.dma ~sectors:16 in
       let t0 =
-        Ahci.alloc_cmd_table ahci
-          { Ahci.Fis.op = Ahci.Fis.Read; lba = image_sectors - 64; count = 16 }
+        Ahci.alloc_cmd_table ahci ~op:Ahci.Read ~lba:(image_sectors - 64)
+          ~count:16
           [ { Ahci.buf_addr = buf0.Dma.addr; sectors = 16 } ]
       and t1 =
-        Ahci.alloc_cmd_table ahci
-          { Ahci.Fis.op = Ahci.Fis.Read; lba = image_sectors + 4096; count = 16 }
+        Ahci.alloc_cmd_table ahci ~op:Ahci.Read ~lba:(image_sectors + 4096)
+          ~count:16
           [ { Ahci.buf_addr = buf1.Dma.addr; sectors = 16 } ]
       in
       Ahci.set_slot ahci ~clb ~slot:0 ~table_addr:t0;

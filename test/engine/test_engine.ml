@@ -834,6 +834,64 @@ let test_sim_create_with_timeseries () =
     check_bool "sampled the gauge" true (snd st.Timeseries.s_last = 2.0)
   | None -> Alcotest.fail "gauge was not sampled")
 
+(* A prebuilt process started a second time while its first run still
+   sleeps runs its body twice at once, each run on its own fiber. *)
+let test_sim_process_overlapping_starts () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let p =
+    Sim.process sim ~name:"p" (fun () ->
+        let t0 = Sim.clock () in
+        Sim.sleep (Time.us 10);
+        log := (t0, Sim.clock ()) :: !log)
+  in
+  Sim.start_at p Time.zero;
+  Sim.start_at p (Time.us 1);
+  Sim.run sim;
+  Alcotest.(check (list (pair int int)))
+    "two overlapping runs"
+    [ (Time.zero, Time.us 10); (Time.us 1, Time.us 11) ]
+    (List.rev !log);
+  Sim.start_at p (Time.us 20);
+  Sim.run sim;
+  check_int "a later start runs it again" 3 (List.length !log);
+  expect_past_error "Sim.start_at" (fun () -> Sim.start_at p (Time.us 5))
+
+let test_sim_process_failure_named () =
+  let sim = Sim.create () in
+  let p =
+    Sim.process sim ~name:"prebuilt" (fun () ->
+        Sim.sleep (Time.ms 1);
+        failwith "body")
+  in
+  Sim.start_at p Time.zero;
+  match Sim.run sim with
+  | () -> Alcotest.fail "expected Process_failure"
+  | exception Sim.Process_failure (name, Failure msg) ->
+    Alcotest.(check string) "name" "prebuilt" name;
+    Alcotest.(check string) "msg" "body" msg
+  | exception _ -> Alcotest.fail "wrong exception"
+
+(* Starting a process from outside records nothing; a [Sim.spawn] from
+   inside one records its sampled "spawn" instant, named. *)
+let test_sim_start_traces () =
+  let tr = Bmcast_obs.Trace.create () in
+  let sim = Sim.create ~trace:tr () in
+  let child = ref 0 in
+  let p = Sim.process sim ~name:"prebuilt" (fun () -> incr child) in
+  Sim.start_at p Time.zero;
+  Sim.spawn_at sim ~name:"outer" Time.zero (fun () ->
+      Sim.spawn ~name:"inner" (fun () -> incr child));
+  Sim.run sim;
+  check_int "both children ran" 2 !child;
+  let spawns = ref [] in
+  Bmcast_obs.Trace.iter tr (fun ev ->
+      if ev.Bmcast_obs.Trace.name = "spawn" then
+        spawns := ev.Bmcast_obs.Trace.args :: !spawns);
+  Alcotest.(check int) "one spawn instant" 1 (List.length !spawns);
+  check_bool "names the spawned process" true
+    (!spawns = [ [ ("proc", Bmcast_obs.Trace.Str "inner") ] ])
+
 (* A callback job records exactly what the process it replaces would:
    the same events at the same times, and byte-identical traces (sleep
    spans, wake instants, and nothing for the first step). *)
@@ -1397,6 +1455,10 @@ let () =
           tc "run until" `Quick test_sim_until;
           tc "spawn children" `Quick test_sim_spawn_children;
           tc "process failure" `Quick test_sim_process_failure;
+          tc "prebuilt process overlaps" `Quick
+            test_sim_process_overlapping_starts;
+          tc "prebuilt process failure" `Quick test_sim_process_failure_named;
+          tc "starts trace nothing" `Quick test_sim_start_traces;
           tc "suspend waker once" `Quick test_sim_suspend_waker;
           tc "determinism" `Quick test_sim_determinism;
           tc "yield interleave" `Quick test_sim_yield_interleave;

@@ -16,15 +16,15 @@ let test_stacks_every_builder () =
   Stacks.run env (fun () ->
       let mk name = Stacks.machine env ~name () in
       let bare = Stacks.bare env (mk "bare") in
-      ignore (bare.Runtime.block_read ~lba:0 ~count:8 : Content.t array);
+      bare.Runtime.block_read ~lba:0 ~count:8 (Content.zeroes ~count:8);
       let kvm_rt, _ = Stacks.kvm_local env (mk "kvml") in
-      ignore (kvm_rt.Runtime.block_read ~lba:0 ~count:8 : Content.t array);
+      kvm_rt.Runtime.block_read ~lba:0 ~count:8 (Content.zeroes ~count:8);
       let kvmr_rt, _ = Stacks.kvm_remote env (mk "kvmr") `Nfs in
-      ignore (kvmr_rt.Runtime.block_read ~lba:0 ~count:8 : Content.t array);
+      kvmr_rt.Runtime.block_read ~lba:0 ~count:8 (Content.zeroes ~count:8);
       let nb_rt, _ = Stacks.netboot env (mk "nb") in
-      ignore (nb_rt.Runtime.block_read ~lba:0 ~count:8 : Content.t array);
+      nb_rt.Runtime.block_read ~lba:0 ~count:8 (Content.zeroes ~count:8);
       let bm_rt, vmm = Stacks.bmcast env (mk "bm") () in
-      ignore (bm_rt.Runtime.block_read ~lba:0 ~count:8 : Content.t array);
+      bm_rt.Runtime.block_read ~lba:0 ~count:8 (Content.zeroes ~count:8);
       check_bool "deploying" true (Vmm.phase vmm = Runtime.Deploying))
 
 let test_fig4_shape_small_image () =

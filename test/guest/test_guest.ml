@@ -33,14 +33,16 @@ let test_block_io_roundtrip_ahci () =
   on_bare (fun _ rt ->
       let data = Content.data_sectors ~count:32 in
       rt.Runtime.block_write ~lba:1000 ~count:32 data;
-      let got = rt.Runtime.block_read ~lba:1000 ~count:32 in
+      let got = Content.zeroes ~count:32 in
+      rt.Runtime.block_read ~lba:1000 ~count:32 got;
       check_bool "roundtrip" true (Array.for_all2 Content.equal data got))
 
 let test_block_io_roundtrip_ide () =
   on_bare ~disk_kind:Machine.Ide_disk (fun _ rt ->
       let data = Content.data_sectors ~count:300 (* > 256: two commands *) in
       rt.Runtime.block_write ~lba:5000 ~count:300 data;
-      let got = rt.Runtime.block_read ~lba:5000 ~count:300 in
+      let got = Content.zeroes ~count:300 in
+      rt.Runtime.block_read ~lba:5000 ~count:300 got;
       check_bool "roundtrip across command split" true
         (Array.for_all2 Content.equal data got))
 
@@ -56,6 +58,54 @@ let test_block_io_discovers_via_pci () =
            ignore (Block_io.attach m : Block_io.t);
            false
          with Invalid_argument _ -> true))
+
+(* Both drivers reject a count that is not positive, or larger than the
+   buffer, with an [Invalid_argument] naming the driver, before any
+   register access: under a resident VMM every access traps, and the
+   trap counters do not move. A valid command still runs afterwards. *)
+let test_drivers_reject_bad_count disk_kind driver () =
+  let env = Stacks.make_env ~image_gb:1 () in
+  let m = Stacks.machine env ~name:"guest" ~disk_kind () in
+  let traps () =
+    Bmcast_hw.Mmio.trapped_accesses m.Machine.mmio
+    + Bmcast_hw.Pio.trapped_accesses m.Machine.pio
+  in
+  Stacks.run env (fun () ->
+      let _rt, _vmm = Stacks.bmcast env m () in
+      let blk = Block_io.attach m in
+      let rejects what f =
+        let before = traps () and t0 = Sim.clock () in
+        (match f () with
+        | () -> Alcotest.failf "%s: accepted" what
+        | exception Invalid_argument msg ->
+          check_bool
+            (Printf.sprintf "%s: %S names %s" what msg driver)
+            true
+            (String.starts_with ~prefix:(driver ^ ".") msg));
+        check_int (what ^ ": no register access") before (traps ());
+        check_int (what ^ ": no time passed") t0 (Sim.clock ())
+      in
+      let buf = Content.zeroes ~count:8 in
+      rejects "read count 0" (fun () ->
+          Block_io.read_into blk ~lba:0 ~count:0 buf);
+      rejects "read count -1" (fun () ->
+          Block_io.read_into blk ~lba:0 ~count:(-1) buf);
+      rejects "read past the buffer" (fun () ->
+          Block_io.read_into blk ~lba:0 ~count:9 buf);
+      rejects "allocating read count 0" (fun () ->
+          ignore (Block_io.read blk ~lba:0 ~count:0 : Content.t array));
+      rejects "allocating read count -1" (fun () ->
+          ignore (Block_io.read blk ~lba:0 ~count:(-1) : Content.t array));
+      rejects "write count 0" (fun () ->
+          Block_io.write blk ~lba:0 ~count:0 buf);
+      rejects "write count -1" (fun () ->
+          Block_io.write blk ~lba:0 ~count:(-1) buf);
+      rejects "write past the data" (fun () ->
+          Block_io.write blk ~lba:0 ~count:9 buf);
+      Block_io.read_into blk ~lba:0 ~count:8 buf;
+      check_bool "a valid read still runs" true
+        (Array.for_all2 Content.equal buf
+           (Content.image_sectors ~lba:0 ~count:8)))
 
 (* --- Os boot model --- *)
 
@@ -291,13 +341,95 @@ let test_ycsb_average_window () =
   Alcotest.(check (float 1e-6)) "kops" 15.0 k;
   Alcotest.(check (float 1e-6)) "lat" 150.0 l
 
+(* --- memory --- *)
+
+(* Words [f ()] allocates: minor words plus words allocated straight
+   into the major heap, read with a minor collection before each
+   reading because OCaml 5.1's [Gc.allocated_bytes] lags by up to a
+   minor heap until the next one. *)
+let allocated_words f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  f ();
+  Gc.minor ();
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+
+(* Words per command over 10,000 64-sector commands on a bare-metal
+   machine, after 1,000 that bring the scheduler's queues, the scratch
+   pool and the disk's extents to their size. A command may allocate
+   only the continuations of the processes it suspends (the requester,
+   the AHCI service loop, the controller's two sleeps) and the fibers of
+   the processes it starts (the ISR, the IDE command executor). The
+   commands cycle over 16 LBAs so the written extents stop growing. *)
+let words_per_command disk_kind op =
+  let env = Stacks.make_env ~image_gb:1 () in
+  let m = Stacks.machine env ~name:"guest" ~disk_kind () in
+  Bmcast_storage.Disk.fill_with_image m.Machine.disk;
+  let count = 64 in
+  let buf =
+    match op with
+    | `Read -> Content.zeroes ~count
+    | `Write -> Content.data_sectors ~count
+  in
+  let words = ref 0.0 in
+  Stacks.run env (fun () ->
+      let blk = Block_io.attach m in
+      let commands n =
+        for i = 1 to n do
+          let lba = 4096 + ((i land 15) * count) in
+          match op with
+          | `Read -> Block_io.read_into blk ~lba ~count buf
+          | `Write -> Block_io.write blk ~lba ~count buf
+        done
+      in
+      commands 1_000;
+      words := allocated_words (fun () -> commands 10_000) /. 10_000.0);
+  !words
+
+(* A CPU burst under a virtualization tax allocates only its sleep's
+   continuation (4 words): the stretch is computed without boxing a
+   float, and [Cpu.run] builds no closure. One boxed float more reads
+   6. *)
+let test_cpu_burst_memory () =
+  let words =
+    on_bare (fun _ rt ->
+        let rt =
+          { rt with
+            Runtime.cpu =
+              Bmcast_platform.Cpu_model.create
+                ~tlb_mode:Bmcast_hw.Tlb.Nested_paging ~steal:0.06
+                ~exit_overhead:0.01 }
+        in
+        let bursts n =
+          for _ = 1 to n do
+            Runtime.cpu_run rt ~core:0 ~work:(Time.us 10) ~mem_intensity:0.3
+          done
+        in
+        bursts 1_000;
+        allocated_words (fun () -> bursts 10_000) /. 10_000.0)
+  in
+  check_bool
+    (Printf.sprintf "%.1f words per burst, at most 5" words)
+    true (words <= 5.0)
+
+let test_command_memory disk_kind op () =
+  let words = words_per_command disk_kind op in
+  check_bool
+    (Printf.sprintf "%.1f words per 64-sector command, at most 32" words)
+    true (words <= 32.0)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "guest"
     [ ( "block-io",
         [ tc "ahci roundtrip" `Quick test_block_io_roundtrip_ahci;
           tc "ide roundtrip splits commands" `Quick test_block_io_roundtrip_ide;
-          tc "discovers controller via pci" `Quick test_block_io_discovers_via_pci ] );
+          tc "discovers controller via pci" `Quick
+            test_block_io_discovers_via_pci;
+          tc "ahci rejects a bad count" `Quick
+            (test_drivers_reject_bad_count Machine.Ahci_disk "Ahci_driver");
+          tc "ide rejects a bad count" `Quick
+            (test_drivers_reject_bad_count Machine.Ide_disk "Ide_driver") ] );
       ( "os-boot",
         [ tc "trace deterministic" `Quick test_boot_trace_deterministic;
           tc "trace totals" `Quick test_boot_trace_totals;
@@ -322,4 +454,12 @@ let () =
       ( "ycsb",
         [ tc "memcached calibration" `Quick test_ycsb_memcached_calibration;
           tc "cassandra writes disk" `Quick test_ycsb_cassandra_writes_disk;
-          tc "average window" `Quick test_ycsb_average_window ] ) ]
+          tc "average window" `Quick test_ycsb_average_window ] );
+      ( "memory",
+        [ tc "ahci read_into" `Quick
+            (test_command_memory Machine.Ahci_disk `Read);
+          tc "ahci write" `Quick (test_command_memory Machine.Ahci_disk `Write);
+          tc "ide read_into" `Quick
+            (test_command_memory Machine.Ide_disk `Read);
+          tc "ide write" `Quick (test_command_memory Machine.Ide_disk `Write);
+          tc "cpu burst" `Quick test_cpu_burst_memory ] ) ]

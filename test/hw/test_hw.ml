@@ -212,6 +212,29 @@ let test_irq_isr_failure_named () =
   | exception Sim.Process_failure (name, Failure _) ->
     Alcotest.(check string) "process name" "isr-vec14" name
 
+(* Deliveries closer together than the ISR's run overlap: each runs on
+   its own fiber. *)
+let test_irq_overlapping_isrs () =
+  let sim = Sim.create () in
+  let irq = Irq.create sim in
+  let running = ref 0 and most = ref 0 and finished = ref [] in
+  Irq.register irq ~vec:14 (fun () ->
+      incr running;
+      most := max !most !running;
+      Sim.sleep (Time.us 10);
+      decr running;
+      finished := Sim.clock () :: !finished);
+  Sim.schedule sim Time.zero (fun () -> Irq.raise_irq irq ~vec:14);
+  Sim.schedule sim (Time.us 1) (fun () -> Irq.raise_irq irq ~vec:14);
+  Sim.run sim;
+  check_int "two ISRs at once" 2 !most;
+  Alcotest.(check (list int))
+    "each ran its 10 us"
+    [ Time.add Irq.delivery_latency (Time.us 10);
+      Time.add Irq.delivery_latency (Time.us 11) ]
+    (List.rev !finished);
+  check_int "delivered" 2 (Irq.delivered irq ~vec:14)
+
 let test_irq_vectors () =
   let sim = Sim.create () in
   let irq = Irq.create sim in
@@ -433,6 +456,7 @@ let () =
           tc "spurious" `Quick test_irq_spurious;
           tc "unregister" `Quick test_irq_unregister;
           tc "isr failure named" `Quick test_irq_isr_failure_named;
+          tc "overlapping isrs" `Quick test_irq_overlapping_isrs;
           tc "vectors" `Quick test_irq_vectors ] );
       ( "cpu",
         [ tc "run consumes time" `Quick test_cpu_run_consumes_time;

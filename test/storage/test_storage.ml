@@ -201,13 +201,17 @@ let test_extent_clear_range () =
   check_int "covered" 8 (Extent_map.covered m)
 
 (* [iter_range]'s mapped pieces with the gaps between them as [None]
-   pieces, in the order visited. *)
+   pieces, in the order visited. Each piece's [off] must be its offset
+   from the query's start, and the passed-through value must arrive. *)
 let extent_tiles m ~lba ~count =
   let tiles = ref [] and next = ref lba in
   let gap upto =
     if upto > !next then tiles := (!next, upto - !next, None) :: !tiles
   in
-  Extent_map.iter_range m ~lba ~count ~f:(fun ~lba ~count v ->
+  let query = lba in
+  Extent_map.iter_range m ~lba ~count "x" ~f:(fun x ~off ~lba ~count v ->
+      if x <> "x" || off <> lba - query then
+        Alcotest.failf "piece at %d: off %d, value %S" lba off x;
       gap lba;
       tiles := (lba, count, Some v) :: !tiles;
       next := lba + count);
@@ -467,7 +471,8 @@ let test_dma_distinct_addresses () =
 let test_dma_read_write_bounds () =
   let dma = Dma.create () in
   let b = Dma.alloc dma ~sectors:4 in
-  Dma.write b ~off:1 (Content.image_sectors ~lba:0 ~count:2);
+  Dma.blit_to b ~off:1 (Content.image_sectors ~lba:0 ~count:2) ~src_off:0
+    ~count:2;
   let out = Array.make 3 (Content.image 9) in
   Dma.blit_from b ~off:0 out ~dst_off:0 ~count:3;
   Alcotest.(check (array content_testable))
@@ -479,7 +484,8 @@ let test_dma_read_write_bounds () =
      with Invalid_argument _ -> true);
   check_bool "overflow raises" true
     (try
-       Dma.write b ~off:3 (Content.image_sectors ~lba:0 ~count:2);
+       Dma.blit_to b ~off:3 (Content.image_sectors ~lba:0 ~count:2)
+         ~src_off:0 ~count:2;
        false
      with Invalid_argument _ -> true)
 
@@ -796,10 +802,10 @@ let ahci_reg rig off = Mmio.read rig.mmio (0xF000_0000 + off)
 let ahci_wreg rig off v = Mmio.write rig.mmio (0xF000_0000 + off) v
 
 (* Issue a command on slot 0 and wait for its IRQ. *)
-let ahci_io rig fis buf_sectors =
+let ahci_io rig ~op ~lba ~count buf_sectors =
   let buf = Dma.alloc rig.dma ~sectors:buf_sectors in
   let table =
-    Ahci.alloc_cmd_table rig.ahci fis
+    Ahci.alloc_cmd_table rig.ahci ~op ~lba ~count
       [ { Ahci.buf_addr = buf.Dma.addr; sectors = buf_sectors } ]
   in
   Ahci.set_slot rig.ahci ~clb:rig.clb ~slot:0 ~table_addr:table;
@@ -815,7 +821,7 @@ let test_ahci_read_flow () =
   let rig = ahci_rig () in
   Disk.poke rig.disk ~lba:1000 ~count:8 (Content.image_sectors ~lba:1000 ~count:8);
   let buf, completed =
-    ahci_io rig { Ahci.Fis.op = Ahci.Fis.Read; lba = 1000; count = 8 } 8
+    ahci_io rig ~op:Ahci.Read ~lba:1000 ~count:8 8
   in
   Sim.run rig.sim;
   check_bool "irq fired" true !completed;
@@ -830,10 +836,9 @@ let test_ahci_write_flow () =
   let rig = ahci_rig () in
   let buf, completed =
     let buf = Dma.alloc rig.dma ~sectors:4 in
-    Dma.write buf ~off:0 (Content.data_sectors ~count:4);
+    Dma.blit_to buf ~off:0 (Content.data_sectors ~count:4) ~src_off:0 ~count:4;
     let table =
-      Ahci.alloc_cmd_table rig.ahci
-        { Ahci.Fis.op = Ahci.Fis.Write; lba = 500; count = 4 }
+      Ahci.alloc_cmd_table rig.ahci ~op:Ahci.Write ~lba:500 ~count:4
         [ { Ahci.buf_addr = buf.Dma.addr; sectors = 4 } ]
     in
     Ahci.set_slot rig.ahci ~clb:rig.clb ~slot:0 ~table_addr:table;
@@ -853,7 +858,7 @@ let test_ahci_write_flow () =
 let test_ahci_busy_while_serving () =
   let rig = ahci_rig () in
   let _buf, _completed =
-    ahci_io rig { Ahci.Fis.op = Ahci.Fis.Read; lba = 0; count = 64 } 64
+    ahci_io rig ~op:Ahci.Read ~lba:0 ~count:64 64
   in
   (* Immediately after issue, TFD shows BSY and CI has the bit. *)
   check_bool "bsy" true
@@ -867,7 +872,7 @@ let test_ahci_no_irq_when_masked () =
   let rig = ahci_rig () in
   ahci_wreg rig Ahci.Regs.px_ie 0;
   let _buf, completed =
-    ahci_io rig { Ahci.Fis.op = Ahci.Fis.Read; lba = 0; count = 1 } 1
+    ahci_io rig ~op:Ahci.Read ~lba:0 ~count:1 1
   in
   Sim.run rig.sim;
   check_bool "no isr" false !completed;
@@ -890,12 +895,10 @@ let test_ahci_multi_slot_fifo () =
   Disk.poke rig.disk ~lba:0 ~count:16 (Content.image_sectors ~lba:0 ~count:16);
   let buf0 = Dma.alloc rig.dma ~sectors:8 and buf1 = Dma.alloc rig.dma ~sectors:8 in
   let t0 =
-    Ahci.alloc_cmd_table rig.ahci
-      { Ahci.Fis.op = Ahci.Fis.Read; lba = 0; count = 8 }
+    Ahci.alloc_cmd_table rig.ahci ~op:Ahci.Read ~lba:0 ~count:8
       [ { Ahci.buf_addr = buf0.Dma.addr; sectors = 8 } ]
   and t1 =
-    Ahci.alloc_cmd_table rig.ahci
-      { Ahci.Fis.op = Ahci.Fis.Read; lba = 8; count = 8 }
+    Ahci.alloc_cmd_table rig.ahci ~op:Ahci.Read ~lba:8 ~count:8
       [ { Ahci.buf_addr = buf1.Dma.addr; sectors = 8 } ]
   in
   Ahci.set_slot rig.ahci ~clb:rig.clb ~slot:0 ~table_addr:t0;
@@ -913,15 +916,16 @@ let test_ahci_mediator_can_rewrite_command () =
   Disk.poke rig.disk ~lba:0 ~count:64 (Content.image_sectors ~lba:0 ~count:64);
   let guest_buf = Dma.alloc rig.dma ~sectors:32 in
   let table_addr =
-    Ahci.alloc_cmd_table rig.ahci
-      { Ahci.Fis.op = Ahci.Fis.Read; lba = 0; count = 32 }
+    Ahci.alloc_cmd_table rig.ahci ~op:Ahci.Read ~lba:0 ~count:32
       [ { Ahci.buf_addr = guest_buf.Dma.addr; sectors = 32 } ]
   in
   Ahci.set_slot rig.ahci ~clb:rig.clb ~slot:0 ~table_addr;
   (* Mediator: retarget at a dummy buffer, 1 cached sector. *)
   let dummy = Dma.alloc rig.dma ~sectors:1 in
   let ct = Ahci.cmd_table rig.ahci ~addr:table_addr in
-  ct.Ahci.fis <- { Ahci.Fis.op = Ahci.Fis.Read; lba = 0; count = 1 };
+  ct.Ahci.op <- Ahci.Read;
+  ct.Ahci.lba <- 0;
+  ct.Ahci.count <- 1;
   ct.Ahci.prdt <- [ { Ahci.buf_addr = dummy.Dma.addr; sectors = 1 } ];
   ahci_wreg rig Ahci.Regs.px_ci 1;
   Sim.run rig.sim;
@@ -935,8 +939,7 @@ let test_ahci_mediator_can_rewrite_command () =
 let test_ahci_structure_lookup () =
   let rig = ahci_rig () in
   let table =
-    Ahci.alloc_cmd_table rig.ahci
-      { Ahci.Fis.op = Ahci.Fis.Read; lba = 0; count = 1 }
+    Ahci.alloc_cmd_table rig.ahci ~op:Ahci.Read ~lba:0 ~count:1
       []
   in
   let rejects what msg f =
@@ -1021,7 +1024,7 @@ let test_ide_read_flow () =
 let test_ide_write_flow () =
   let rig = ide_rig () in
   let buf = Dma.alloc rig.idma ~sectors:2 in
-  Dma.write buf ~off:0 (Content.data_sectors ~count:2);
+  Dma.blit_to buf ~off:0 (Content.data_sectors ~count:2) ~src_off:0 ~count:2;
   let prdt_addr =
     Ide.register_prdt rig.ide [ { Ide.buf_addr = buf.Dma.addr; sectors = 2 } ]
   in
