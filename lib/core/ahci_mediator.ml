@@ -14,7 +14,10 @@ type t = {
   ahci : Ahci.t;
   raw : Mmio.handler;
   dummy_prdt : Dma.prd list;  (* one sector of a VMM-owned buffer *)
-  vmm_table : int;  (* slot 31's command table, rewritten per command *)
+  vmm_table_addr : int;  (* slot 31's command table ... *)
+  vmm_table : Ahci.cmd_table;  (* ... rewritten per command *)
+  vmm_prd : Dma.prd;  (* its one entry: the mediator's buffer, [sectors] per command *)
+  vmm_prdt : Dma.prd list;  (* [[vmm_prd]] *)
   (* guest-view emulation *)
   mutable ghost_ci : int;  (* bits the guest believes are on the device *)
   mutable guest_ie : int;
@@ -50,14 +53,15 @@ let guest t =
 (* VMM commands run in slot 31, completion polled on PxCI. The slot is
    set on every command because the guest may have moved its command
    list. *)
-let issue t op ~lba ~count buf =
-  let ct = Ahci.cmd_table t.ahci ~addr:t.vmm_table in
+let issue t op ~lba ~count =
+  let ct = t.vmm_table in
   ct.Ahci.op <- (if op = Mediator.Write then Ahci.Write else Ahci.Read);
   ct.Ahci.lba <- lba;
   ct.Ahci.count <- count;
-  ct.Ahci.prdt <- [ { Dma.buf_addr = buf.Dma.addr; sectors = count } ];
+  t.vmm_prd.Dma.sectors <- count;
+  ct.Ahci.prdt <- t.vmm_prdt;
   Ahci.set_slot t.ahci ~clb:(current_clb t) ~slot:vmm_slot
-    ~table_addr:t.vmm_table;
+    ~table_addr:t.vmm_table_addr;
   t.raw.Mmio.write Ahci.Regs.px_ci vmm_slot_bit;
   count
 
@@ -69,9 +73,10 @@ let completed t () =
     true
   end
 
-let device machine t =
+let device machine t buf =
   { Mediator.name = "ahci";
     max_sectors = max_int;
+    buf;
     (* PxIS must be clear too: our own acknowledge would otherwise
        swallow a guest interrupt status bit and hang its driver. *)
     idle =
@@ -130,18 +135,29 @@ let on_read t m ~next off =
   else next off
 
 let attach machine ahci ~aoe ~bitmap ~params =
-  let dummy = Dma.alloc machine.Machine.dma ~sectors:1 in
+  let dma = machine.Machine.dma in
+  let dummy = Dma.alloc dma ~sectors:1 in
   let dummy_prdt = [ { Dma.buf_addr = dummy.Dma.addr; sectors = 1 } ] in
+  let buf = Dma.bindable dma in
+  let vmm_prd = { Dma.buf_addr = buf.Dma.addr; sectors = 0 } in
+  let vmm_prdt = [ vmm_prd ] in
+  let vmm_table_addr =
+    Ahci.alloc_cmd_table ahci ~op:Ahci.Read ~lba:0 ~count:0 vmm_prdt
+  in
   let t =
     { ahci;
       raw = Ahci.raw ahci;
       dummy_prdt;
-      vmm_table =
-        Ahci.alloc_cmd_table ahci ~op:Ahci.Read ~lba:0 ~count:1 dummy_prdt;
+      vmm_table_addr;
+      vmm_table = Ahci.cmd_table ahci ~addr:vmm_table_addr;
+      vmm_prd;
+      vmm_prdt;
       ghost_ci = 0;
       guest_ie = 0 }
   in
-  let m = Mediator.create machine ~aoe ~bitmap ~params (device machine t) in
+  let m =
+    Mediator.create machine ~aoe ~bitmap ~params (device machine t buf)
+  in
   let g = guest t in
   Mmio.interpose machine.Machine.mmio ~base:Machine.ahci_base
     { Mmio.on_read = (fun ~next off -> on_read t m ~next off);

@@ -122,6 +122,30 @@ let range_filled t ~lba ~count =
   check_range t ~lba ~count;
   seek t.bits ~want:false lba (lba + count) >= lba + count
 
+(* Sectors at or past [sectors] count as filled. *)
+let check_from from =
+  if from < 0 then
+    invalid_arg (Printf.sprintf "Bitmap: sector %d out of range" from)
+
+let next_empty t ~from ~limit =
+  if from >= limit then limit
+  else begin
+    check_from from;
+    let stop = min limit t.sectors in
+    if from >= stop then limit
+    else
+      let s = seek t.bits ~want:false from stop in
+      if s < stop then s else limit
+  end
+
+let next_filled t ~from ~limit =
+  if from >= limit then limit
+  else begin
+    check_from from;
+    if from >= t.sectors then from
+    else seek t.bits ~want:true from (min limit t.sectors)
+  end
+
 let filled_count t = t.filled
 let is_complete t = t.filled = t.sectors
 

@@ -39,6 +39,23 @@ val range_filled : t -> lba:int -> count:int -> bool
     (bounds checks included) without building the list: it allocates
     nothing. *)
 
+(** The two seeks below walk the empty runs of a window [\[from,
+    limit)] without building a list, and allocate nothing: a run starts
+    at [s = next_empty t ~from ~limit] (none when [s = limit]) and ends
+    at [next_filled t ~from:(s + 1) ~limit]. Sectors at or past the end
+    of the map count as filled, so a window may run past it: its runs
+    are those of the part inside the map. Both return [limit] when
+    [from >= limit] and raise [Invalid_argument] for a negative [from]
+    otherwise. *)
+
+val next_empty : t -> from:int -> limit:int -> int
+(** The first empty sector in [\[from, limit)], or [limit]. *)
+
+val next_filled : t -> from:int -> limit:int -> int
+(** The first filled sector in [\[from, limit)] (the end of the map when
+    the window runs past it and no sector before is filled), or
+    [limit]. *)
+
 val filled_count : t -> int
 val is_complete : t -> bool
 

@@ -20,7 +20,8 @@ type t = {
   raw_bm : Pio.handler;
   raw_ctrl : Pio.handler;
   dummy_prdt : int;
-  vmm_prdt : int;  (* the VMM commands' PRD table, rewritten per command *)
+  vmm_prdt : int;  (* the VMM commands' PRD table ... *)
+  vmm_prd : Dma.prd;  (* ... whose one entry is rewritten per command *)
   (* shadow task file (I/O interpretation) *)
   mutable sh_seccount : int;
   mutable sh_lba0 : int;
@@ -39,49 +40,48 @@ let shadow_lba t =
 
 let shadow_count t = if t.sh_seccount = 0 then 256 else t.sh_seccount
 
-(* Program the physical device with a command, bypassing interposers. *)
-let program_device t c =
-  t.raw_bm.Pio.outp Ide.Bm.prdt c.prdt_addr;
-  t.raw_cmd.Pio.outp Ide.Regs.seccount (c.count land 0xFF);
-  t.raw_cmd.Pio.outp Ide.Regs.lba0 (c.lba land 0xFF);
-  t.raw_cmd.Pio.outp Ide.Regs.lba1 ((c.lba lsr 8) land 0xFF);
-  t.raw_cmd.Pio.outp Ide.Regs.lba2 ((c.lba lsr 16) land 0xFF);
-  t.raw_cmd.Pio.outp Ide.Regs.device (0xE0 lor ((c.lba lsr 24) land 0x0F));
-  t.raw_cmd.Pio.outp Ide.Regs.command c.cmd;
-  t.raw_bm.Pio.outp Ide.Bm.command c.bm_cmd
+(* Program the physical device with a command, bypassing interposers.
+   The fields come as arguments, so a VMM command or a dummy read builds
+   no [command] record. *)
+let program_device t ~cmd ~lba ~count ~prdt_addr ~bm_cmd =
+  t.raw_bm.Pio.outp Ide.Bm.prdt prdt_addr;
+  t.raw_cmd.Pio.outp Ide.Regs.seccount (count land 0xFF);
+  t.raw_cmd.Pio.outp Ide.Regs.lba0 (lba land 0xFF);
+  t.raw_cmd.Pio.outp Ide.Regs.lba1 ((lba lsr 8) land 0xFF);
+  t.raw_cmd.Pio.outp Ide.Regs.lba2 ((lba lsr 16) land 0xFF);
+  t.raw_cmd.Pio.outp Ide.Regs.device (0xE0 lor ((lba lsr 24) land 0x0F));
+  t.raw_cmd.Pio.outp Ide.Regs.command cmd;
+  t.raw_bm.Pio.outp Ide.Bm.command bm_cmd
 
 let device_busy t = t.raw_cmd.Pio.inp Ide.Regs.command land Ide.status_bsy <> 0
 
 let forward t c =
   t.ghost_busy <- false;
-  program_device t c
+  program_device t ~cmd:c.cmd ~lba:c.lba ~count:c.count ~prdt_addr:c.prdt_addr
+    ~bm_cmd:c.bm_cmd
 
 let guest t =
   { Mediator.forward = forward t;
     forward_dummy =
       (fun _ ~lba ->
-        forward t
-          { cmd = Ide.cmd_read_dma;
-            lba;
-            count = 1;
-            prdt_addr = t.dummy_prdt;
-            bm_cmd = 0x01 lor 0x08 });
+        t.ghost_busy <- false;
+        program_device t ~cmd:Ide.cmd_read_dma ~lba ~count:1
+          ~prdt_addr:t.dummy_prdt ~bm_cmd:(0x01 lor 0x08));
     withhold = (fun _ -> t.ghost_busy <- true);
     prds = (fun c -> Ide.prdt t.ide ~addr:c.prdt_addr) }
 
 (* The task file's sector count is 8 bits: a 256-sector command programs
    0 (and is traced so). *)
-let issue t op ~lba ~count buf =
-  let cmd, dir =
-    if op = Mediator.Write then (Ide.cmd_write_dma, 0x00)
-    else (Ide.cmd_read_dma, 0x08)
-  in
-  Ide.set_prdt t.ide ~addr:t.vmm_prdt
-    [ { Dma.buf_addr = buf.Dma.addr; sectors = count } ];
-  let count = count land 0xFF in
-  program_device t
-    { cmd; lba; count; prdt_addr = t.vmm_prdt; bm_cmd = 0x01 lor dir };
-  count
+let issue t op ~lba ~count =
+  t.vmm_prd.Dma.sectors <- count;
+  let programmed = count land 0xFF in
+  if op = Mediator.Write then
+    program_device t ~cmd:Ide.cmd_write_dma ~lba ~count:programmed
+      ~prdt_addr:t.vmm_prdt ~bm_cmd:0x01
+  else
+    program_device t ~cmd:Ide.cmd_read_dma ~lba ~count:programmed
+      ~prdt_addr:t.vmm_prdt ~bm_cmd:(0x01 lor 0x08);
+  programmed
 
 (* Completion is polled on the bus-master IRQ bit. *)
 let completed t () =
@@ -98,9 +98,10 @@ let idle t () =
     (device_busy t || t.armed <> None
     || t.raw_bm.Pio.inp Ide.Bm.status land 0x04 <> 0)
 
-let device machine t =
+let device machine t buf =
   { Mediator.name = "ide";
     max_sectors = 256;
+    buf;
     idle = idle t;
     (* The dummy must not be programmed over a VMM command. *)
     restartable = idle t;
@@ -192,7 +193,10 @@ let on_ctrl_in t m ~next off =
   status t m ~next off
 
 let attach machine ide ~aoe ~bitmap ~params =
-  let dummy = Dma.alloc machine.Machine.dma ~sectors:1 in
+  let dma = machine.Machine.dma in
+  let dummy = Dma.alloc dma ~sectors:1 in
+  let buf = Dma.bindable dma in
+  let vmm_prd = { Dma.buf_addr = buf.Dma.addr; sectors = 0 } in
   let t =
     { ide;
       raw_cmd = Ide.raw_cmd ide;
@@ -200,7 +204,8 @@ let attach machine ide ~aoe ~bitmap ~params =
       raw_ctrl = Ide.raw_ctrl ide;
       dummy_prdt =
         Ide.register_prdt ide [ { Dma.buf_addr = dummy.Dma.addr; sectors = 1 } ];
-      vmm_prdt = Ide.register_prdt ide [];
+      vmm_prdt = Ide.register_prdt ide [ vmm_prd ];
+      vmm_prd;
       sh_seccount = 0;
       sh_lba0 = 0;
       sh_lba1 = 0;
@@ -211,7 +216,9 @@ let attach machine ide ~aoe ~bitmap ~params =
       armed = None;
       ghost_busy = false }
   in
-  let m = Mediator.create machine ~aoe ~bitmap ~params (device machine t) in
+  let m =
+    Mediator.create machine ~aoe ~bitmap ~params (device machine t buf)
+  in
   (* IDE ports need no guest-side initialization before the VMM can use
      them (unlike AHCI's command list). *)
   Mediator.set_ready m;

@@ -17,12 +17,13 @@ type op = Read | Write | Other
 type device = {
   name : string;
   max_sectors : int;
+  buf : Dma.buf;
   idle : unit -> bool;
   restartable : unit -> bool;
   settled : unit -> bool;
   mask_irq : unit -> unit;
   unmask_irq : unit -> unit;
-  issue : op -> lba:int -> count:int -> Dma.buf -> int;
+  issue : op -> lba:int -> count:int -> int;
   completed : unit -> bool;
   remove : unit -> unit;
 }
@@ -101,6 +102,7 @@ let create machine ~aoe ~bitmap ~params dev =
 
 let stats t = t.stats
 let held t = t.held
+let dma_addr t = t.dev.buf.Dma.addr
 let set_ready t = Signal.Latch.set t.ready
 let wait_device_ready t = Signal.Latch.wait t.ready
 let set_protected_region t ~lba ~count = t.protected_region <- Some (lba, count)
@@ -162,30 +164,42 @@ let rec drain_queue t =
     drain_queue t
 
 (* Hold the device for a sequence of VMM commands: wait until it is
-   idle, present an idle device to the guest, mask its interrupt, run
-   [f], then restore. Guest commands issued while the device is held
-   are queued and replayed afterwards — and because they execute
+   idle, present an idle device to the guest and mask its interrupt;
+   [release] restores both. Guest commands issued while the device is
+   held are queued and replayed by [release] — and because they execute
    strictly after ours, anything the guest writes still lands last (the
    consistency rule of Section 3.3). *)
-let with_device t f =
-  Semaphore.with_permit t.lock (fun () ->
-      (* The check-then-claim is atomic: no simulation time passes
-         between the last poll and setting [held]. *)
-      while not (t.dev.idle ()) do
-        poll t
-      done;
-      t.held <- true;
-      t.dev.mask_irq ();
-      f ();
-      t.dev.unmask_irq ();
-      t.held <- false);
+let hold t =
+  Semaphore.acquire t.lock;
+  (* The check-then-claim is atomic: no simulation time passes between
+     the last poll and setting [held]. *)
+  while not (t.dev.idle ()) do
+    poll t
+  done;
+  t.held <- true;
+  t.dev.mask_irq ()
+
+let release t =
+  t.dev.unmask_irq ();
+  t.held <- false;
+  Semaphore.release t.lock;
   drain_queue t
 
-(* Issue one VMM command and poll for completion; the device must be
-   held (inside [with_device]). *)
-let issue_vmm t op ~lba ~count buf =
+(* A command that raises gives back the binding and the permit, as the
+   guest drivers do. *)
+let abandon t e =
+  Dma.unbind t.dev.buf;
+  Semaphore.release t.lock;
+  raise e
+
+(* Issue one VMM command on [a.(pos .. pos + count - 1)] and poll for
+   completion; the device must be held. The DMA buffer names the
+   caller's array only while the command is in flight, so no array
+   stays reachable from the DMA registry. *)
+let issue_vmm t op ~lba ~count a ~pos =
   let issued_at = Sim.now t.machine.Machine.sim in
-  let programmed = t.dev.issue op ~lba ~count buf in
+  Dma.bind t.dev.buf a ~pos ~sectors:count;
+  let programmed = t.dev.issue op ~lba ~count in
   (* Adaptive polling: sleep most of the expected service time first,
      then fall back to fine-grained polls. *)
   if t.cmd_time_ewma > t.params.Params.poll_interval then
@@ -193,6 +207,7 @@ let issue_vmm t op ~lba ~count buf =
   while not (t.dev.completed ()) do
     poll t
   done;
+  Dma.unbind t.dev.buf;
   let took = Time.diff (Sim.now t.machine.Machine.sim) issued_at in
   t.cmd_time_ewma <-
     (if t.cmd_time_ewma = 0 then took
@@ -203,38 +218,57 @@ let issue_vmm t op ~lba ~count buf =
       ~args:[ ("lba", Trace.Int lba); ("count", Trace.Int programmed) ]
       "multiplexed-cmd" ~ts:issued_at
 
-(* Run [f off n] over [count] sectors in commands the device accepts. *)
-let iter_commands t ~count f =
-  let rec go off =
-    if off < count then begin
-      let n = min t.dev.max_sectors (count - off) in
-      f off n;
-      go (off + n)
-    end
-  in
-  go 0
+(* [count] sectors from [lba] through [a] from [pos] on, in commands the
+   device accepts. Each command holds the device on its own, so queued
+   guest commands run between them. *)
+let rec each_held t op ~lba ~count a ~pos ~off =
+  if off < count then begin
+    let n = min t.dev.max_sectors (count - off) in
+    hold t;
+    (match issue_vmm t op ~lba:(lba + off) ~count:n a ~pos:(pos + off) with
+    | () -> release t
+    | exception e -> abandon t e);
+    each_held t op ~lba ~count a ~pos ~off:(off + n)
+  end
 
-(* Each command of a long read or write holds the device on its own, so
-   queued guest commands run between them. *)
-let vmm_read t ~lba ~count =
-  let dma = t.machine.Machine.dma in
-  let out = Content.zeroes ~count in
-  iter_commands t ~count (fun off n ->
-      let buf = Dma.alloc dma ~sectors:n in
-      with_device t (fun () -> issue_vmm t Read ~lba:(lba + off) ~count:n buf);
-      Dma.blit_from buf ~off:0 out ~dst_off:off ~count:n;
-      Dma.free dma buf);
-  (* The disk cache holds the last command's worth of sectors read. *)
-  t.cached_lba <- lba + count - min t.dev.max_sectors count;
-  out
+let check_window what ~count a ~pos =
+  if count > 0 && (pos < 0 || pos > Array.length a - count) then
+    invalid_arg
+      (Printf.sprintf "Mediator.%s: %d sectors at %d leave the array (%d)"
+         what count pos (Array.length a))
+
+let vmm_read t ~lba ~count dst ~pos =
+  check_window "vmm_read" ~count dst ~pos;
+  each_held t Read ~lba ~count dst ~pos ~off:0;
+  (* The disk caches the last command's sectors, so a dummy read of that
+     command's first sector hits. *)
+  t.cached_lba <- lba + ((count - 1) / t.dev.max_sectors * t.dev.max_sectors)
 
 let vmm_write t ~lba ~count data =
-  let dma = t.machine.Machine.dma in
-  iter_commands t ~count (fun off n ->
-      let buf = Dma.alloc dma ~sectors:n in
-      Dma.blit_to buf ~off:0 data ~src_off:off ~count:n;
-      with_device t (fun () -> issue_vmm t Write ~lba:(lba + off) ~count:n buf);
-      Dma.free dma buf)
+  check_window "vmm_write" ~count data ~pos:0;
+  each_held t Write ~lba ~count data ~pos:0 ~off:0
+
+(* Commands over the run [run, run + count) of a held device; [data] is
+   indexed by [sector - lba]. *)
+let rec write_run t data ~lba ~run ~count ~off =
+  if off < count then begin
+    let n = min t.dev.max_sectors (count - off) in
+    issue_vmm t Write ~lba:(run + off) ~count:n data ~pos:(run - lba + off);
+    write_run t data ~lba ~run ~count ~off:(off + n)
+  end
+
+(* Write and mark each empty run of [from, limit) in turn; returns
+   [written] plus the sectors written. Sectors past the image (the
+   bitmap's end) count as filled. *)
+let rec write_empty_runs t data ~lba ~limit ~from written =
+  let s = Bitmap.next_empty t.bitmap ~from ~limit in
+  if s >= limit then written
+  else begin
+    let e = Bitmap.next_filled t.bitmap ~from:(s + 1) ~limit in
+    write_run t data ~lba ~run:s ~count:(e - s) ~off:0;
+    ignore (Bitmap.fill_range t.bitmap ~lba:s ~count:(e - s) : int);
+    write_empty_runs t data ~lba ~limit ~from:e (written + e - s)
+  end
 
 (* Write only sectors still empty, with the emptiness check made while
    holding the device — atomic with respect to guest writes, which are
@@ -242,21 +276,12 @@ let vmm_write t ~lba ~count data =
    then overwrite us, which is the correct final state). Marks written
    sectors filled. Returns the number of sectors written. *)
 let vmm_write_empty t ~lba ~count data =
-  let dma = t.machine.Machine.dma in
-  let written = ref 0 in
-  with_device t (fun () ->
-      List.iter
-        (fun (sub_lba, sub_count) ->
-          iter_commands t ~count:sub_count (fun off n ->
-              let buf = Dma.alloc dma ~sectors:n in
-              Dma.blit_to buf ~off:0 data ~src_off:(sub_lba - lba + off)
-                ~count:n;
-              issue_vmm t Write ~lba:(sub_lba + off) ~count:n buf;
-              Dma.free dma buf);
-          ignore (Bitmap.fill_range t.bitmap ~lba:sub_lba ~count:sub_count : int);
-          written := !written + sub_count)
-        (empty_in_image t ~lba ~count));
-  !written
+  hold t;
+  match write_empty_runs t data ~lba ~limit:(lba + count) ~from:lba 0 with
+  | written ->
+    release t;
+    written
+  | exception e -> abandon t e
 
 (* --- copy-on-read (§3.2 I/O redirection) --- *)
 
@@ -299,8 +324,7 @@ let redirect t g c ~lba ~count =
     empty;
   List.iter
     (fun (f_lba, f_count) ->
-      let local = vmm_read t ~lba:f_lba ~count:f_count in
-      Content.blit local 0 data (f_lba - lba) f_count)
+      vmm_read t ~lba:f_lba ~count:f_count data ~pos:(f_lba - lba))
     (filled_parts ~lba ~count empty);
   (* 3. Copy: act as a virtual DMA controller into the guest buffers. *)
   Dma.scatter t.machine.Machine.dma (g.prds c) data ~count;

@@ -20,7 +20,13 @@
     present an emulated idle device to the guest; guest commands issued
     meanwhile are queued and replayed afterwards. Because they execute
     strictly after the VMM's, anything the guest writes still lands last
-    (the consistency rule of §3.3).
+    (the consistency rule of §3.3). A VMM command moves its sectors by
+    DMA straight to or from its caller's array: the device's one
+    bindable buffer names a window of that array while the command is
+    in flight, and nothing between commands. So {b a VMM command's
+    caller must not write its array while the command is in flight}
+    (every caller hands over an array it does not touch again until the
+    call returns).
 
     [devirtualize] removes the controller's interposers: all register
     traffic then flows directly to the hardware and the trap counter
@@ -37,6 +43,10 @@ type device = {
   max_sectors : int;
       (** largest VMM command the device accepts; longer transfers are
           split ([max_int]: no limit) *)
+  buf : Bmcast_storage.Dma.buf;
+      (** a {!Bmcast_storage.Dma.bindable} buffer, the one entry of the
+          VMM commands' scatter list; the mediator binds it to the
+          caller's array for each command *)
   idle : unit -> bool;
       (** the device may be taken for VMM commands: nothing in flight,
           and the guest has consumed its last completion (otherwise the
@@ -47,10 +57,11 @@ type device = {
       (** no guest command is withheld or half-programmed *)
   mask_irq : unit -> unit;  (** hide the VMM's completions from the guest *)
   unmask_irq : unit -> unit;  (** restore the guest's interrupt setting *)
-  issue : op -> lba:int -> count:int -> Bmcast_storage.Dma.buf -> int;
+  issue : op -> lba:int -> count:int -> int;
       (** start a VMM [Read] or [Write] of at most [max_sectors] sectors
-          through [buf] while the device is held; returns the sector
-          count as programmed into the device (traced as such) *)
+          through [buf] (bound to [count] sectors) while the device is
+          held, rewriting one prebuilt scatter-list entry; returns the
+          sector count as programmed into the device (traced as such) *)
   completed : unit -> bool;
       (** poll the VMM command; on [true] its completion has also been
           acknowledged at the device *)
@@ -123,10 +134,16 @@ val set_protected_region : t -> lba:int -> count:int -> unit
 (** Guest commands touching this range are converted into dummy-sector
     reads — how the VMM shields its on-disk bitmap save (§3.3). *)
 
-val vmm_read : t -> lba:int -> count:int -> Bmcast_storage.Content.t array
-(** Multiplexed VMM read of the local disk (process context). *)
+val vmm_read :
+  t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> pos:int -> unit
+(** [vmm_read t ~lba ~count dst ~pos]: multiplexed VMM read of the local
+    disk's sectors [lba .. lba + count - 1] into [dst.(pos .. pos + count
+    - 1)], by DMA into [dst] (process context). Raises
+    [Invalid_argument] before any command if the window leaves [dst]. *)
 
 val vmm_write : t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> unit
+(** Multiplexed VMM write of [data.(0 .. count - 1)] (process
+    context); raises as {!vmm_read} does. *)
 
 val vmm_write_empty :
   t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> int
@@ -135,7 +152,9 @@ val vmm_write_empty :
     that prevents a stale server block from clobbering a fresher guest
     write. Marks written sectors in the bitmap; returns how many
     sectors were written (process context). The [data] array is indexed
-    by [sector - lba]. *)
+    by [sector - lba]. The empty runs are found with
+    {!Bitmap.next_empty}/{!Bitmap.next_filled} as they are written, so
+    a fill builds no list. *)
 
 val guest_io_rate : t -> float
 (** Guest commands per second over the trailing window (moderation
@@ -155,3 +174,7 @@ val devirtualize : t -> unit
     interposers (process context). *)
 
 val stats : t -> stats
+
+val dma_addr : t -> int
+(** Address of the device's DMA buffer for VMM commands. Between
+    commands it is unbound, so [Bmcast_storage.Dma.find] rejects it. *)

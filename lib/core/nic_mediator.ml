@@ -87,15 +87,15 @@ let rec poll_loop t backoff =
     let rdh = t.raw.Mmio.read Nic.Regs.rdh in
     let saw = t.shadow_rx_head <> rdh in
     while t.shadow_rx_head <> rdh do
-      (match Nic.rx_desc t.nic ~ring:t.shadow_rx ~idx:t.shadow_rx_head with
-      | Some frame ->
-        Nic.clear_rx_desc t.nic ~ring:t.shadow_rx ~idx:t.shadow_rx_head;
-        if t.vmm_rx frame then
-          (* Consumed by the VMM here and now: recycle the record. A
-             relayed frame instead stays live in the guest's RX ring. *)
-          Fabric.release_frame (Nic.fabric t.nic) frame
-        else relay_to_guest t frame
-      | None -> ());
+      (let frame = Nic.rx_desc t.nic ~ring:t.shadow_rx ~idx:t.shadow_rx_head in
+       if frame != Nic.no_frame then begin
+         Nic.clear_rx_desc t.nic ~ring:t.shadow_rx ~idx:t.shadow_rx_head;
+         if t.vmm_rx frame then
+           (* Consumed by the VMM here and now: recycle the record. A
+              relayed frame instead stays live in the guest's RX ring. *)
+           Fabric.release_frame (Nic.fabric t.nic) frame
+         else relay_to_guest t frame
+       end);
       t.shadow_rx_head <- (t.shadow_rx_head + 1) mod Nic.ring_size;
       t.shadow_rdt <- (t.shadow_rdt + 1) mod Nic.ring_size;
       t.raw.Mmio.write Nic.Regs.rdt t.shadow_rdt

@@ -12,6 +12,7 @@ module Packet = Bmcast_net.Packet
 module Fabric = Bmcast_net.Fabric
 module Nic = Bmcast_net.Nic
 module Mailbox = Bmcast_engine.Mailbox
+module Ring = Bmcast_engine.Ring
 module Machine = Bmcast_platform.Machine
 module Runtime = Bmcast_platform.Runtime
 module Cpu_model = Bmcast_platform.Cpu_model
@@ -62,10 +63,12 @@ type t = {
   mutable shut_down : bool;
   mutable mcast_filled_bytes : int;  (* filled from multicast frames *)
   mutable mcast_dups : int;  (* multicast frames carrying nothing new *)
-  mutable last_mcast_at : Time.t option;  (* carousel liveness signal *)
+  mutable last_mcast_at : Time.t;
+      (* carousel liveness signal; [no_mcast] before the first frame *)
   mutable events : (Time.t * string) list;  (* phase log, newest first *)
 }
 
+let no_mcast = min_int
 let phase t = t.phase
 let cpu_model t = t.cpu_model
 
@@ -214,7 +217,8 @@ let deployment t =
      queues behind it and still sees a correct bitmap. *)
   (if t.resume then begin
      let lba, count = save_region t in
-     let data = Mediator.vmm_read t.mediator ~lba ~count in
+     let data = Content.zeroes ~count in
+     Mediator.vmm_read t.mediator ~lba ~count data ~pos:0;
      match Bitmap.load_blob_sectors t.bitmap data with
      | () -> ()
      | exception Invalid_argument _ ->
@@ -276,8 +280,8 @@ let boot machine ~params ~server_port ?route ?on_aoe_response ?mcast_group
   let deliver pkt =
     match pkt.Packet.payload with
     | Aoe.Frame f ->
-      Option.iter (fun g -> g f.Aoe.hdr) on_aoe_response;
-      Option.iter (fun c -> Aoe_client.on_frame c f) !client_ref;
+      (match on_aoe_response with Some g -> g f.Aoe.hdr | None -> ());
+      (match !client_ref with Some c -> Aoe_client.on_frame c f | None -> ());
       true
     | _ -> false
   in
@@ -349,7 +353,7 @@ let boot machine ~params ~server_port ?route ?on_aoe_response ?mcast_group
       shut_down = false;
       mcast_filled_bytes = 0;
       mcast_dups = 0;
-      last_mcast_at = None;
+      last_mcast_at = no_mcast;
       events = [] }
   in
   log_event t (if resume then "VMM booted (resuming)" else "VMM booted");
@@ -384,22 +388,26 @@ let boot machine ~params ~server_port ?route ?on_aoe_response ?mcast_group
       | `Prod | `Shared -> Nic.port machine.Machine.prod_nic
     in
     Fabric.mcast_join nic_port ~group;
-    let fifo = Mailbox.create () in
+    (* A queued fill is its copy (one sector per element) in [fifo] and
+       its LBA at the same place in [fifo_lbas]: no tuple per frame. *)
+    let fifo = Mailbox.create () and fifo_lbas = Ring.create () in
     Aoe_client.subscribe_mcast aoe (fun ~lba ~count data ->
         if lba >= 0 && count > 0 && lba + count <= params.Params.image_sectors
         then begin
-          t.last_mcast_at <- Some (Sim.now machine.Machine.sim);
+          t.last_mcast_at <- Sim.now machine.Machine.sim;
           if Bitmap.range_filled bitmap ~lba ~count then
             t.mcast_dups <- t.mcast_dups + 1
           else begin
             let copy = Content.Scratch.alloc count in
             Content.blit data 0 copy 0 count;
-            ignore (Mailbox.try_send fifo (lba, count, copy) : bool)
+            Ring.push fifo_lbas lba;
+            ignore (Mailbox.try_send fifo copy : bool)
           end
         end);
     Sim.spawn ~name:"bmcast-mcast-fill" (fun () ->
         let rec loop () =
-          let lba, count, data = Mailbox.recv fifo in
+          let data = Mailbox.recv fifo in
+          let lba = Ring.pop fifo_lbas and count = Array.length data in
           if (not t.shut_down) && not (Bitmap.is_complete t.bitmap) then begin
             let wrote = Mediator.vmm_write_empty t.mediator ~lba ~count data in
             t.mcast_filled_bytes <- t.mcast_filled_bytes + (wrote * 512)
@@ -435,10 +443,8 @@ let boot machine ~params ~server_port ?route ?on_aoe_response ?mcast_group
              | Some bg ->
                let live =
                  (not (Bitmap.is_complete t.bitmap))
-                 &&
-                 match t.last_mcast_at with
-                 | Some ts -> Sim.now sim - ts < quiet
-                 | None -> false
+                 && t.last_mcast_at <> no_mcast
+                 && Sim.now sim - t.last_mcast_at < quiet
                in
                if live then begin
                  if not (Background_copy.is_paused bg) then

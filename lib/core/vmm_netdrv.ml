@@ -33,12 +33,12 @@ let max_backoff = 64
    descriptor. [deliver] consumes synchronously (reassembly copies what
    it needs). *)
 let consume t deliver =
-  (match Nic.rx_desc t.nic ~ring:t.rx_ring ~idx:t.rx_idx with
-  | Some frame ->
+  let frame = Nic.rx_desc t.nic ~ring:t.rx_ring ~idx:t.rx_idx in
+  if frame != Nic.no_frame then begin
     Nic.clear_rx_desc t.nic ~ring:t.rx_ring ~idx:t.rx_idx;
     deliver frame;
     Fabric.release_frame (Nic.fabric t.nic) frame
-  | None -> ());
+  end;
   t.rx_idx <- (t.rx_idx + 1) mod Nic.ring_size
 
 (* One poll: drain the RX ring, then re-queue [job] one (backed-off)

@@ -196,9 +196,9 @@ let run_shared_nic () =
             let rec poll () =
               let rdh = reg Bmcast_net.Nic.Regs.rdh in
               while !idx <> rdh do
-                (match Bmcast_net.Nic.rx_desc pn ~ring ~idx:!idx with
-                | Some f -> guest_rx := !guest_rx + f.Packet.size_bytes
-                | None -> ());
+                (let f = Bmcast_net.Nic.rx_desc pn ~ring ~idx:!idx in
+                 if f != Bmcast_net.Nic.no_frame then
+                   guest_rx := !guest_rx + f.Packet.size_bytes);
                 Bmcast_net.Nic.clear_rx_desc pn ~ring ~idx:!idx;
                 idx := (!idx + 1) mod 256;
                 rdt := (!rdt + 1) mod 256;

@@ -1,6 +1,7 @@
 module Sim = Bmcast_engine.Sim
 module Time = Bmcast_engine.Time
 module Mailbox = Bmcast_engine.Mailbox
+module Int_table = Bmcast_engine.Int_table
 module Content = Bmcast_storage.Content
 module Fabric = Bmcast_net.Fabric
 module Packet = Bmcast_net.Packet
@@ -52,7 +53,7 @@ and t = {
   gossip_group : int;
   mutable agents : agent array;
   mutable n_agents : int;
-  directory : (int, entry) Hashtbl.t;  (* origin port id -> entry *)
+  directory : entry Int_table.t;  (* origin port id -> entry *)
   mutable announces_received : int;
   m_gossip_tx : float ref;
   m_gossip_rx : float ref;
@@ -81,9 +82,10 @@ let tracker_rx t (pkt : Packet.t) =
           [ ("origin", Trace.Int m.Gossip.origin);
             ("held", Trace.Int (Gossip.cardinal m.Gossip.summary)) ]
         "gossip-rx";
-    match Hashtbl.find_opt t.directory m.Gossip.origin with
-    | Some e -> Gossip.merge_into ~into:e.seen m.Gossip.summary
-    | None -> ())  (* unknown origin: agent not registered (yet) *)
+    match Int_table.find t.directory m.Gossip.origin with
+    | e -> Gossip.merge_into ~into:e.seen m.Gossip.summary
+    | exception Not_found ->
+      () (* unknown origin: agent not registered (yet) *))
   | _ -> ()
 
 let create sim ~fabric ~image_sectors ~chunk_sectors =
@@ -99,7 +101,7 @@ let create sim ~fabric ~image_sectors ~chunk_sectors =
       gossip_group = Fabric.mcast_group fabric;
       agents = [||];
       n_agents = 0;
-      directory = Hashtbl.create 64;
+      directory = Int_table.create 64;
       announces_received = 0;
       m_gossip_tx = Metrics.counter m "gossip.tx";
       m_gossip_rx = Metrics.counter m "gossip.rx";
@@ -238,7 +240,7 @@ let join t ~name ~has_chunk ~peek () =
   end;
   t.agents.(n) <- a;
   t.n_agents <- n + 1;
-  Hashtbl.replace t.directory (agent_port a)
+  Int_table.replace t.directory (agent_port a)
     { agent = a; seen = Gossip.create ~chunks:t.chunks };
   Sim.spawn_at t.sim ~name:(name ^ "-peer-worker") (Sim.now t.sim) (fun () ->
       worker_loop t a);
@@ -282,13 +284,18 @@ type router = {
   rt : t;
   self : agent option;
   rset : Replica_set.t;
-  flights : (int, flight) Hashtbl.t;  (* peer-routed commands only *)
+  flights : flight Int_table.t;  (* peer-routed commands only, by tag *)
   mutable routed : int;
   mutable failovers : int;
 }
 
 let router t ?self rset =
-  { rt = t; self; rset; flights = Hashtbl.create 16; routed = 0; failovers = 0 }
+  { rt = t;
+    self;
+    rset;
+    flights = Int_table.create 16;
+    routed = 0;
+    failovers = 0 }
 
 let p2p_routed r = r.routed
 let p2p_failovers r = r.failovers
@@ -303,7 +310,7 @@ let select_peer r ~lba ~count =
     let a = t.agents.(i) in
     let is_self = match r.self with Some s -> s == a | None -> false in
     if (not is_self) && a.up && now >= a.suspect_until then begin
-      let e = Hashtbl.find t.directory (agent_port a) in
+      let e = Int_table.find t.directory (agent_port a) in
       if covers t e.seen ~lba ~count then
         match !best with
         | Some b when b.outstanding <= a.outstanding -> ()
@@ -313,15 +320,15 @@ let select_peer r ~lba ~count =
   !best
 
 let route r (hdr : Aoe.header) =
-  match Hashtbl.find_opt r.flights hdr.Aoe.tag with
-  | Some f ->
+  match Int_table.find r.flights hdr.Aoe.tag with
+  | f ->
     (* A peer-routed command timed out: put the peer on probation, hand
        the command to the replica set as a fresh flight, and never try
        peers again for this tag. *)
     let t = r.rt in
     f.agent.suspect_until <- Time.add (Sim.now t.sim) cooldown;
     f.agent.outstanding <- max 0 (f.agent.outstanding - 1);
-    Hashtbl.remove r.flights hdr.Aoe.tag;
+    Int_table.remove r.flights hdr.Aoe.tag;
     r.failovers <- r.failovers + 1;
     Metrics.incr t.m_failovers;
     let tr = Sim.trace t.sim in
@@ -332,14 +339,14 @@ let route r (hdr : Aoe.header) =
             ("peer", Trace.Str f.agent.name) ]
         "p2p-failover";
     Replica_set.route r.rset hdr
-  | None -> (
+  | exception Not_found -> (
     if hdr.Aoe.command <> Aoe.Ata_read then Replica_set.route r.rset hdr
     else
       match select_peer r ~lba:hdr.Aoe.lba ~count:hdr.Aoe.count with
       | None -> Replica_set.route r.rset hdr
       | Some a ->
         a.outstanding <- a.outstanding + 1;
-        Hashtbl.replace r.flights hdr.Aoe.tag
+        Int_table.replace r.flights hdr.Aoe.tag
           { agent = a; want = hdr.Aoe.count; got = 0 };
         r.routed <- r.routed + 1;
         Metrics.incr r.rt.m_routed;
@@ -347,19 +354,19 @@ let route r (hdr : Aoe.header) =
 
 let observe r (hdr : Aoe.header) =
   if hdr.Aoe.is_response then
-    match Hashtbl.find_opt r.flights hdr.Aoe.tag with
-    | None -> Replica_set.observe r.rset hdr
-    | Some f ->
+    match Int_table.find r.flights hdr.Aoe.tag with
+    | exception Not_found -> Replica_set.observe r.rset hdr
+    | f ->
       (* Answers lift probation immediately, like replica proof-of-life. *)
       f.agent.suspect_until <- Time.zero;
       if hdr.Aoe.error then begin
         f.agent.outstanding <- max 0 (f.agent.outstanding - 1);
-        Hashtbl.remove r.flights hdr.Aoe.tag
+        Int_table.remove r.flights hdr.Aoe.tag
       end
       else begin
         f.got <- f.got + hdr.Aoe.count;
         if f.got >= f.want then begin
           f.agent.outstanding <- max 0 (f.agent.outstanding - 1);
-          Hashtbl.remove r.flights hdr.Aoe.tag
+          Int_table.remove r.flights hdr.Aoe.tag
         end
       end

@@ -1,6 +1,7 @@
 module Sim = Bmcast_engine.Sim
 module Time = Bmcast_engine.Time
 module Prng = Bmcast_engine.Prng
+module Int_table = Bmcast_engine.Int_table
 module Aoe = Bmcast_proto.Aoe
 module Vblade = Bmcast_proto.Vblade
 module Trace = Bmcast_obs.Trace
@@ -60,7 +61,7 @@ type t = {
   policy : policy;
   replicas : replica array;
   prng : Prng.t;
-  flights : (int, flight) Hashtbl.t;
+  flights : flight Int_table.t;  (* by tag *)
   mutable failovers : int;
   m_failovers : float ref;
 }
@@ -93,7 +94,7 @@ let create sim ?(policy = Least_outstanding) vblades =
     policy;
     replicas;
     prng = Prng.split (Sim.rand sim);
-    flights = Hashtbl.create 64;
+    flights = Int_table.create 64;
     failovers = 0;
     m_failovers = Metrics.counter metrics "fleet.failovers" }
 
@@ -173,14 +174,14 @@ let ewma_alpha = 0.2
 
 let route t (hdr : Aoe.header) =
   let now = Sim.now t.sim in
-  match Hashtbl.find_opt t.flights hdr.Aoe.tag with
-  | None ->
+  match Int_table.find t.flights hdr.Aoe.tag with
+  | exception Not_found ->
     let i = select t ~lba:hdr.Aoe.lba in
     let r = t.replicas.(i) in
     r.outstanding <- r.outstanding + 1;
     r.routed <- r.routed + 1;
     Metrics.incr r.m_routed;
-    Hashtbl.replace t.flights hdr.Aoe.tag
+    Int_table.replace t.flights hdr.Aoe.tag
       { ridx = i;
         want = hdr.Aoe.count;
         cmd = hdr.Aoe.command;
@@ -188,7 +189,7 @@ let route t (hdr : Aoe.header) =
         attempts = 1;
         last_sent = now };
     r.port
-  | Some f ->
+  | f ->
     (* Retransmission: the replica we sent to did not answer in time.
        Put it on probation and re-select; a crashed replica (epoch
        bumped, [is_up] false) drops out of the candidate set entirely. *)
@@ -217,13 +218,13 @@ let route t (hdr : Aoe.header) =
 let complete t tag f =
   let r = t.replicas.(f.ridx) in
   r.outstanding <- max 0 (r.outstanding - 1);
-  Hashtbl.remove t.flights tag
+  Int_table.remove t.flights tag
 
 let observe t (hdr : Aoe.header) =
   if hdr.Aoe.is_response then
-    match Hashtbl.find_opt t.flights hdr.Aoe.tag with
-    | None -> ()  (* stale duplicate after completion *)
-    | Some f ->
+    match Int_table.find t.flights hdr.Aoe.tag with
+    | exception Not_found -> () (* stale duplicate after completion *)
+    | f ->
       let r = t.replicas.(f.ridx) in
       (* An answer is proof of life: lift the probation immediately. *)
       r.suspect_until <- Time.zero;

@@ -153,6 +153,15 @@ val send : port -> dst:int -> size_bytes:int -> Packet.payload -> unit
     {!Packet.max_frame} for the fabric MTU or the destination is
     unknown at delivery time. *)
 
+val frame : port -> dst:int -> size_bytes:int -> Packet.payload -> Packet.t
+(** A frame record from [port], taken from the fabric's pool, for
+    {!send_frame}. A NIC's TX descriptor holds one until the NIC sends
+    it; dropping it to the GC instead is safe. *)
+
+val send_frame : port -> Packet.t -> unit
+(** [send] of a record from {!frame}, which the fabric owns from then
+    on. Raises as [send] does. *)
+
 val send_wait : port -> dst:int -> size_bytes:int -> Packet.payload -> unit
 (** Like [send] but models a bounded socket buffer: blocks the calling
     process while the transmit queue is full (process context). A

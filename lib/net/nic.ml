@@ -14,9 +14,15 @@ module Regs = struct
   let rdba = 0x30
 end
 
-type tx_desc = { dst : int; size_bytes : int; payload : Packet.payload }
+(* A descriptor holds its frame directly, so a frame hop builds no
+   [Some]: a TX slot a frame record from the fabric's pool, which the
+   device sends as it is, and an RX slot the frame delivered into it.
+   An empty slot holds [no_frame]. *)
+type Packet.payload += No_payload
 
-type ring = Tx of tx_desc option array | Rx of Packet.t option array
+let no_frame = { Packet.src = -1; dst = -1; size_bytes = 0; payload = No_payload }
+
+type ring = Tx of Packet.t array | Rx of Packet.t array
 
 type t = {
   sim : Sim.t;
@@ -60,8 +66,8 @@ let ring t addr =
   then raise Not_found;
   t.rings.(off lsr 12)
 
-let alloc_tx_ring t = add_ring t (Tx (Array.make ring_size None))
-let alloc_rx_ring t = add_ring t (Rx (Array.make ring_size None))
+let alloc_tx_ring t = add_ring t (Tx (Array.make ring_size no_frame))
+let alloc_rx_ring t = add_ring t (Rx (Array.make ring_size no_frame))
 
 let tx_ring t addr =
   match ring t addr with
@@ -78,15 +84,17 @@ let rx_ring t addr =
 let check_idx idx =
   if idx < 0 || idx >= ring_size then invalid_arg "Nic: ring index out of range"
 
+let fabric t = Option.get t.fabric_
+
 let set_tx_desc t ~ring ~idx ~dst ~size_bytes payload =
   check_idx idx;
-  (tx_ring t ring).(idx) <- Some { dst; size_bytes; payload }
+  (tx_ring t ring).(idx) <- Fabric.frame (port t) ~dst ~size_bytes payload
 
 let tx_desc t ~ring ~idx =
   check_idx idx;
-  Option.map
-    (fun d -> (d.dst, d.size_bytes, d.payload))
-    (tx_ring t ring).(idx)
+  let f = (tx_ring t ring).(idx) in
+  if f == no_frame then None
+  else Some (f.Packet.dst, f.Packet.size_bytes, f.Packet.payload)
 
 let rx_desc t ~ring ~idx =
   check_idx idx;
@@ -94,32 +102,28 @@ let rx_desc t ~ring ~idx =
 
 let clear_ring t addr =
   match ring t addr with
-  | Tx r -> Array.fill r 0 ring_size None
-  | Rx r -> Array.fill r 0 ring_size None
+  | Tx r | Rx r -> Array.fill r 0 ring_size no_frame
   | exception Not_found ->
     invalid_arg (Printf.sprintf "Nic: no ring at 0x%x" addr)
 
 let put_rx_desc t ~ring ~idx frame =
   check_idx idx;
-  (rx_ring t ring).(idx) <- Some frame
+  (rx_ring t ring).(idx) <- frame
 
 let clear_rx_desc t ~ring ~idx =
   check_idx idx;
-  (rx_ring t ring).(idx) <- None
+  (rx_ring t ring).(idx) <- no_frame
 
 (* Device-side transmit: drain [TDH, TDT) of the ring at TDBA. *)
 let kick_tx t =
   let ring = tx_ring t t.tdba in
   while t.tdh <> t.tdt do
-    (match ring.(t.tdh) with
-    | Some d ->
-      Fabric.send (port t) ~dst:d.dst ~size_bytes:d.size_bytes d.payload;
-      ring.(t.tdh) <- None
-    | None -> invalid_arg "Nic: TX descriptor not populated");
+    let frame = ring.(t.tdh) in
+    if frame == no_frame then invalid_arg "Nic: TX descriptor not populated";
+    Fabric.send_frame (port t) frame;
+    ring.(t.tdh) <- no_frame;
     t.tdh <- (t.tdh + 1) mod ring_size
   done
-
-let fabric t = Option.get t.fabric_
 
 let on_rx t frame =
   if t.rdh = t.rdt then t.rx_dropped <- t.rx_dropped + 1
@@ -127,7 +131,7 @@ let on_rx t frame =
     (* The ring retains the frame past this callback; the consumer that
        drains the descriptor releases it (see fabric.mli ownership). *)
     Fabric.keep_frame (fabric t);
-    (rx_ring t t.rdba).(t.rdh) <- Some frame;
+    (rx_ring t t.rdba).(t.rdh) <- frame;
     t.rdh <- (t.rdh + 1) mod ring_size;
     if t.ie <> 0 then Irq.raise_irq t.irq ~vec:t.irq_vec
   end
@@ -154,13 +158,13 @@ let reg_write t off v =
   end
   else if off = Regs.ie then t.ie <- v
   else if off = Regs.tdba then begin
-    ignore (tx_ring t v : tx_desc option array);
+    ignore (tx_ring t v : Packet.t array);
     t.tdba <- v;
     t.tdh <- 0;
     t.tdt <- 0
   end
   else if off = Regs.rdba then begin
-    ignore (rx_ring t v : Packet.t option array);
+    ignore (rx_ring t v : Packet.t array);
     t.rdba <- v;
     t.rdh <- 0;
     t.rdt <- 0

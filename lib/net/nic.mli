@@ -70,13 +70,19 @@ val default_rx_ring : t -> int
 
 val set_tx_desc :
   t -> ring:int -> idx:int -> dst:int -> size_bytes:int -> Packet.payload -> unit
-(** Write a TX descriptor into a ring (plain memory write, untrapped). *)
+(** Write a TX descriptor into a ring (plain memory write, untrapped).
+    The descriptor holds a frame record from the fabric's pool, which
+    the device later sends as it is: a transmit allocates nothing. *)
 
 val tx_desc : t -> ring:int -> idx:int -> (int * int * Packet.payload) option
 (** Read back a TX descriptor: [(dst, size_bytes, payload)]. *)
 
-val rx_desc : t -> ring:int -> idx:int -> Packet.t option
-(** Frame placed at an RX descriptor, if any. *)
+val no_frame : Packet.t
+(** What an empty RX descriptor holds; compare with [==]. *)
+
+val rx_desc : t -> ring:int -> idx:int -> Packet.t
+(** Frame placed at an RX descriptor, or {!no_frame}: a slot holds its
+    frame directly, so reading one allocates nothing. *)
 
 val put_rx_desc : t -> ring:int -> idx:int -> Packet.t -> unit
 (** Store a frame into an RX ring slot (used by a mediator relaying
@@ -86,7 +92,7 @@ val clear_rx_desc : t -> ring:int -> idx:int -> unit
 
 val clear_ring : t -> int -> unit
 (** Empty every descriptor of the ring at this address, TX or RX. A
-    frame still in an RX ring goes to the GC, not to the fabric pool.
+    frame still in the ring goes to the GC, not to the fabric pool.
     Raises [Invalid_argument] if no ring starts there. *)
 
 val rx_dropped : t -> int

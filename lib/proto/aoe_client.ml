@@ -26,14 +26,8 @@ let major = 0
 let minor = 0
 let max_retries = 10
 
-(* Pending commands by tag. Tags are small ints: hashing one as itself
-   keeps the per-fragment lookup off [caml_hash] and [compare_val]. *)
-module Tags = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash tag = tag
-end)
+(* Pending commands by tag. *)
+module Tags = Bmcast_engine.Int_table
 
 type t = {
   sim : Sim.t;
@@ -114,14 +108,15 @@ let on_frame_inner t frame =
       | _ -> ()
     end
     else
-    match Tags.find_opt t.pending hdr.Aoe.tag with
-    | None -> release_data frame  (* stale duplicate after completion *)
-    | Some p when hdr.Aoe.error ->
+    match Tags.find t.pending hdr.Aoe.tag with
+    | exception Not_found ->
+      release_data frame (* stale duplicate after completion *)
+    | p when hdr.Aoe.error ->
       p.failed <- true;
       Tags.remove t.pending hdr.Aoe.tag;
       t.completions <- t.completions + 1;
       Signal.Latch.set p.done_
-    | Some p ->
+    | p ->
       let base = p.request.Aoe.lba in
       (match p.request.Aoe.command with
       | Aoe.Ata_read ->

@@ -116,14 +116,8 @@ let fill_run (a : t array) off len ~run ~pos =
 module Scratch = struct
   type bucket = { mutable stack : t array array; mutable n : int }
 
-  (* Buckets by array length, hashed as itself: a lookup calls neither
-     [caml_hash] nor [compare_val]. *)
-  module Lengths = Hashtbl.Make (struct
-    type t = int
-
-    let equal = Int.equal
-    let hash len = len
-  end)
+  (* Buckets by array length. *)
+  module Lengths = Bmcast_engine.Int_table
 
   let buckets : bucket Lengths.t = Lengths.create 16
   let empty : t array = [||]
@@ -137,9 +131,9 @@ module Scratch = struct
     if !mutable_len = len then !mutable_bucket
     else begin
       let b =
-        match Lengths.find_opt buckets len with
-        | Some b -> b
-        | None ->
+        match Lengths.find buckets len with
+        | b -> b
+        | exception Not_found ->
           let b = { stack = [||]; n = 0 } in
           Lengths.add buckets len b;
           b
@@ -179,7 +173,7 @@ module Scratch = struct
     end
 
   let free_count len =
-    match Lengths.find_opt buckets len with Some b -> b.n | None -> 0
+    match Lengths.find buckets len with b -> b.n | exception Not_found -> 0
 end
 
 let tag_counter = ref 0

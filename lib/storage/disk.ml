@@ -194,8 +194,11 @@ let seek_time t distance =
   else begin
     let p = t.profile in
     let frac = float_of_int distance /. float_of_int p.capacity_sectors in
+    (* [Time.of_float_s (Time.to_float_s d *. sqrt frac)], written out
+       as in [transfer_time] below. *)
     let extra =
-      Time.of_float_s (Time.to_float_s (p.full_stroke_seek - p.track_to_track_seek) *. sqrt frac)
+      let d = p.full_stroke_seek - p.track_to_track_seek in
+      int_of_float (Float.round (float_of_int d /. 1e9 *. sqrt frac *. 1e9))
     in
     p.track_to_track_seek + extra
   end
@@ -210,7 +213,9 @@ let transfer_time t op count =
     | `Read -> t.profile.media_rate_bytes_per_s
     | `Write -> t.profile.media_rate_bytes_per_s /. t.profile.write_factor
   in
-  Time.of_float_s (float_of_int (count * 512) /. rate)
+  (* [Time.of_float_s] written out, as [Fabric.transmit_span] does: a
+     float passed to another module is boxed under [-opaque]. *)
+  int_of_float (Float.round (float_of_int (count * 512) /. rate *. 1e9))
 
 let spike t =
   if Sim.now t.sim < t.spike_until then t.spike_extra else 0
