@@ -1,12 +1,14 @@
-(* Benchmark harness: regenerates every figure of the paper's evaluation
+(* Figure harness: regenerates every figure of the paper's evaluation
    (Figures 4-14), the design-choice ablations, the multi-instance
-   scale-up study, and on request the fleet sweeps and the engine
-   hot-path benchmark. Isolated timings of single hot paths (bitmap,
-   extent map, AoE codec, PRNG) live in the repository benchmark,
-   benchmark/.
+   scale-up study, and on request the fleet sweeps. The simulator's own
+   host cost is measured elsewhere: the repository benchmark,
+   benchmark/, times whole runs and single hot paths against a parent
+   build in pairs, and the test suites' memory sections gate the words
+   the hot paths allocate exactly.
 
-     dune exec bench/main.exe            # everything
-     dune exec bench/main.exe -- fig4 fig10 *)
+     dune exec bench/main.exe            # everything but the fleet sweeps
+     dune exec bench/main.exe -- fig4 fig10
+     dune exec bench/main.exe -- fleet   # writes BENCH_fleet.json *)
 
 open Bmcast_experiments
 
@@ -98,13 +100,7 @@ let experiments ~metrics_dir =
           (fun path ->
             Scaleout.write_metrics path [ r ];
             Report.note "wrote %s" path)
-          (out "fleet10k") );
-    ( "engine",
-      fun () ->
-        let out =
-          Option.value (out "engine") ~default:"BENCH_engine.json"
-        in
-        Engine_bench.run ~out () ) ]
+          (out "fleet10k") ) ]
 
 (* "all" runs the fig12/fig13 pair once. *)
 let all_keys =
@@ -124,28 +120,18 @@ let run_named experiments name =
     Printf.eprintf "unknown experiment %S\n" name;
     false
 
-let main metrics_dir fleet engine check names =
-  match check with
-  | Some committed ->
-    (* bench --engine --check FILE: regression gate for CI. *)
-    if Engine_bench.check ~committed () then 0 else 1
-  | None ->
-    let experiments = experiments ~metrics_dir in
-    let names =
-      match (names, fleet || engine) with
-      | [], true -> []  (* bench --fleet/--engine: just those sweeps *)
-      | ([] | [ "all" ]), _ -> all_keys
-      | [ "quick" ], _ -> quick_keys
-      | names, _ -> names
-    in
-    let append key wanted names =
-      if wanted && not (List.mem key names) then names @ [ key ] else names
-    in
-    let names = names |> append "fleet" fleet |> append "engine" engine in
-    Printf.printf
-      "BMcast evaluation harness - regenerating %d experiment group(s)\n%!"
-      (List.length names);
-    if List.for_all (run_named experiments) names then 0 else 1
+let main metrics_dir names =
+  let experiments = experiments ~metrics_dir in
+  let names =
+    match names with
+    | [] | [ "all" ] -> all_keys
+    | [ "quick" ] -> quick_keys
+    | names -> names
+  in
+  Printf.printf
+    "BMcast evaluation harness - regenerating %d experiment group(s)\n%!"
+    (List.length names);
+  if List.for_all (run_named experiments) names then 0 else 1
 
 let () =
   let open Cmdliner in
@@ -159,37 +145,6 @@ let () =
             "Write per-experiment metrics snapshots (BENCH_<name>.json) \
              into $(docv).")
   in
-  let fleet =
-    Arg.(
-      value & flag
-      & info [ "fleet" ]
-          ~doc:
-            "Run the fleet scale-out sweep (machines x storage replicas \
-             plus the cloud-burst scale sweep) and write \
-             BENCH_fleet.json. Alone it runs just the sweep; with \
-             experiment names it is appended to them.")
-  in
-  let engine =
-    Arg.(
-      value & flag
-      & info [ "engine" ]
-          ~doc:
-            "Run the engine hot-path benchmark (heap vs timer-wheel \
-             churn, full-simulation events/sec and allocations per \
-             event) and write BENCH_engine.json. Alone it runs just the \
-             benchmark; with experiment names it is appended to them.")
-  in
-  let check =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "check" ] ~docv:"BASELINE"
-          ~doc:
-            "Re-measure the engine benchmark, write \
-             BENCH_engine.fresh.json, and exit non-zero if wheel or \
-             full-simulation events/sec fall below 75% of the committed \
-             $(docv). Overrides every other argument.")
-  in
   let doc =
     "Regenerate the BMcast paper's tables and figures (fig4-fig14, \
      ablations, scaleup, fleet, or the 'quick' subset; default: all)"
@@ -197,6 +152,6 @@ let () =
   let cmd =
     Cmd.v
       (Cmd.info "bmcast-bench" ~doc)
-      Term.(const main $ metrics_dir $ fleet $ engine $ check $ names)
+      Term.(const main $ metrics_dir $ names)
   in
   exit (Cmd.eval' cmd)

@@ -1,7 +1,7 @@
 (* bmcastctl: drive BMcast deployments on the simulated testbed.
 
      dune exec bin/bmcastctl.exe -- deploy --image-gb 8 --disk ahci
-     dune exec bin/bmcastctl.exe -- trace --image-mb 256 -o deploy.trace.json
+     dune exec bin/bmcastctl.exe -- chaos --scenario none --trace deploy.trace.json
      dune exec bin/bmcastctl.exe -- compare --image-gb 32
      dune exec bin/bmcastctl.exe -- params *)
 
@@ -192,7 +192,7 @@ let deploy () image_gb disk watch trace_out metrics_out filter jsonl
     metrics_out;
   0
 
-(* --- shared single-machine testbed for the chaos and trace commands --- *)
+(* --- single-machine testbed for the chaos command --- *)
 
 type testbed = {
   sim : Sim.t;
@@ -224,17 +224,20 @@ let make_testbed ~seed ~image_mb ~trace ~metrics =
   let params = Params.default ~image_sectors in
   { sim; fabric; server_disk; vblade; machine; params; image_sectors }
 
-let resolve_plan ~seed ~image_sectors scenario =
-  if scenario = "random" then
-    Fault.random_plan ~seed ~active:(Time.s 10) ~image_sectors
-  else
+(* The fault plan a scenario name stands for; "none" injects nothing,
+   a clean deployment. *)
+let resolve_plan ~seed ~image_sectors = function
+  | "none" -> None
+  | "random" ->
+    Some (Fault.random_plan ~seed ~active:(Time.s 10) ~image_sectors)
+  | scenario -> (
     match Fault.scenario ~image_sectors scenario with
-    | Some p -> p
+    | Some p -> Some p
     | None ->
       Logs.err (fun m ->
-          m "unknown scenario %S; known: random %s" scenario
+          m "unknown scenario %S; known: none random %s" scenario
             (String.concat " " Fault.scenario_names));
-      exit 2
+      exit 2)
 
 (* Boot the VMM, touch the disk once to force a copy-on-read redirect,
    then wait out the full deployment. *)
@@ -269,15 +272,19 @@ let chaos () scenario seed image_mb trace_out metrics_out filter jsonl
       server = tb.vblade;
       server_disk = tb.server_disk }
   in
-  let inj = Fault.inject rig plan in
+  let inj = Option.map (Fault.inject rig) plan in
   let vmm_ref = ref None in
   spawn_deployment tb vmm_ref;
   Sim.run ~until:(Time.minutes 60) tb.sim;
   let vmm = Option.get !vmm_ref in
   Logs.app (fun m -> m "fault trace:");
-  List.iter
-    (fun (at, what) -> Logs.app (fun m -> m "  [%7.2fs] %s" (secs at) what))
-    (Fault.trace inj);
+  Option.iter
+    (fun inj ->
+      List.iter
+        (fun (at, what) ->
+          Logs.app (fun m -> m "  [%7.2fs] %s" (secs at) what))
+        (Fault.trace inj))
+    inj;
   Logs.app (fun m -> m "lifecycle:");
   List.iter
     (fun (at, what) -> Logs.app (fun m -> m "  [%7.2fs] %s" (secs at) what))
@@ -298,52 +305,6 @@ let chaos () scenario seed image_mb trace_out metrics_out filter jsonl
   write_obs ~jsonl ?filter:(prefix_filter filter) tracer trace_out metrics
     metrics_out;
   if Fault.Invariants.failures checks = [] then 0 else 1
-
-(* --- trace: run a deployment purely to produce a trace file --- *)
-
-let trace_cmd () scenario seed image_mb image_gb output jsonl metrics_out
-    filter trace_sample =
-  positive "image-mb" image_mb;
-  Option.iter (positive "image-gb") image_gb;
-  positive "trace-sample" trace_sample;
-  let image_mb =
-    match image_gb with Some gb -> gb * 1024 | None -> image_mb
-  in
-  let tracer =
-    Trace.create ~capacity:(1 lsl 22) ~sample_every:trace_sample ()
-  in
-  let metrics = make_metrics metrics_out in
-  let tb = make_testbed ~seed ~image_mb ~trace:tracer ~metrics in
-  Logs.app (fun m ->
-      m "Trace run: scenario %S, seed %d, %d MB image" scenario seed image_mb);
-  let inj =
-    if scenario = "none" then None
-    else
-      let plan = resolve_plan ~seed ~image_sectors:tb.image_sectors scenario in
-      let rig =
-        { Fault.sim = tb.sim;
-          fabric = tb.fabric;
-          server = tb.vblade;
-          server_disk = tb.server_disk }
-      in
-      Some (Fault.inject rig plan)
-  in
-  let vmm_ref = ref None in
-  spawn_deployment tb vmm_ref;
-  Sim.run ~until:(Time.minutes 60) tb.sim;
-  Option.iter
-    (fun inj ->
-      List.iter
-        (fun (at, what) ->
-          Logs.debug (fun m -> m "fault [%7.2fs] %s" (secs at) what))
-        (Fault.trace inj))
-    inj;
-  (match Option.bind !vmm_ref Vmm.devirtualized_at with
-  | Some at -> Logs.app (fun m -> m "de-virtualized at %.2fs" (secs at))
-  | None -> Logs.app (fun m -> m "run ended before de-virtualization"));
-  write_obs ~jsonl ?filter:(prefix_filter filter) tracer (Some output) metrics
-    metrics_out;
-  0
 
 (* --- fleet: many machines against a replicated storage tier --- *)
 
@@ -768,7 +729,9 @@ let () =
       value
       & opt string "crash-mid-copy"
       & info [ "scenario" ] ~docv:"NAME"
-          ~doc:"fault scenario (or 'random' for a seeded random plan)")
+          ~doc:
+            "fault scenario ('none' for a clean deployment, 'random' for a \
+             seeded random plan)")
   in
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed")
@@ -785,39 +748,6 @@ let () =
       Term.(
         const chaos $ verbosity $ scenario $ seed $ image_mb $ trace_out
         $ metrics_out $ filter $ jsonl $ trace_sample)
-  in
-  let trace_scenario =
-    Arg.(
-      value
-      & opt string "crash-mid-copy"
-      & info [ "scenario" ] ~docv:"NAME"
-          ~doc:
-            "fault scenario to run under ('none' for a clean deployment, \
-             'random' for a seeded random plan)")
-  in
-  let trace_output =
-    Arg.(
-      value
-      & opt string "bmcast.trace.json"
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"trace output path")
-  in
-  let trace_image_gb =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "image-gb" ] ~docv:"GB"
-          ~doc:"OS image size in GB (overrides $(b,--image-mb))")
-  in
-  let trace_cmd =
-    Cmd.v
-      (Cmd.info "trace"
-         ~doc:
-           "run a seeded deployment and export its execution trace \
-            (Chrome/Perfetto format)")
-      Term.(
-        const trace_cmd $ verbosity $ trace_scenario $ seed $ image_mb
-        $ trace_image_gb $ trace_output $ jsonl $ metrics_out $ filter
-        $ trace_sample)
   in
   let params_cmd =
     Cmd.v
@@ -998,7 +928,6 @@ let () =
       (Cmd.info "bmcastctl" ~doc:"BMcast bare-metal deployment control")
       [ deploy_cmd;
         chaos_cmd;
-        trace_cmd;
         compare_cmd;
         fleet_cmd;
         watch_cmd;

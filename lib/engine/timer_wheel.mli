@@ -3,9 +3,9 @@
 
     The engine ran on this wheel until it moved to {!Heap}, which is
     faster at the queue depths the simulator reaches (DESIGN §9). The
-    wheel stays only because the benchmark's [engine.wheel_churn_ns]
-    probe and [bench --engine]'s gated churn row measure it; it goes
-    when those move to the heap.
+    wheel stays only because the repository benchmark's
+    [engine.wheel_churn_ns] probe measures it; it goes when that probe
+    moves to the heap.
 
     Events live in a hierarchy of 256-slot wheels (8 bits of the
     timestamp per level); scheduling, cancelling and firing are O(1)

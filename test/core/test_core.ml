@@ -429,17 +429,6 @@ let test_ide_vmm_read_cache_hint () =
 
 (* --- memory --- *)
 
-(* Words [f ()] allocates: minor words plus words allocated straight
-   into the major heap, read with a minor collection before each
-   reading because OCaml 5.1's [Gc.allocated_bytes] lags by up to a
-   minor heap until the next one. *)
-let allocated_words f =
-  Gc.minor ();
-  let before = Gc.allocated_bytes () in
-  f ();
-  Gc.minor ();
-  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
-
 (* Words per 17-sector write-if-empty fill of an empty run (a carousel
    frame's worth), over 10,000 fills after 1,000 warm-up ones. The data
    are the image sectors the disk already holds, so its extents stay
@@ -459,7 +448,7 @@ let words_per_fill disk_kind =
         done
       in
       run 0 1_000;
-      words := allocated_words (fun () -> run 1_000 10_000) /. 10_000.0);
+      words := Alloc.allocated_words (fun () -> run 1_000 10_000) /. 10_000.0);
   !words
 
 (* A fill may allocate only the continuations of the processes it

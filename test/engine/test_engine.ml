@@ -1300,27 +1300,6 @@ let test_wait_queue_wake_not_remembered () =
   Sim.run sim;
   check_int "woke on the next wake" (Time.ms 8) !woke_at
 
-(* Minor words allocated over [n] runs of [step] in a job, each 1 us
-   apart, after [warm] runs that let the heap and the queue's rings reach
-   their size. Both readings are taken inside the run, so [Sim.run]'s own
-   setup is not counted. *)
-let words_over_steps sim ~warm ~n step =
-  let words = Array.make 2 0.0 and i = ref 0 and self = ref None in
-  let j =
-    Sim.job sim ~name:"waker" (fun () ->
-        if !i = warm then words.(0) <- Gc.minor_words ();
-        if !i = warm + n then words.(1) <- Gc.minor_words ()
-        else begin
-          step ();
-          incr i;
-          Sim.sleep_job (Option.get !self) (Time.us 1)
-        end)
-  in
-  self := Some j;
-  Sim.start_job j;
-  Sim.run sim;
-  int_of_float (words.(1) -. words.(0))
-
 let test_wait_queue_recheck_allocates_nothing () =
   let sim = Sim.create () in
   let q = Sim.wait_queue sim (fun () -> false) in
@@ -1328,9 +1307,11 @@ let test_wait_queue_recheck_allocates_nothing () =
   Sim.spawn_at sim Time.zero (fun () ->
       Sim.wait q;
       passed := true);
-  let words = words_over_steps sim ~warm:100 ~n:10_000 (fun () -> Sim.wake_all q) in
+  let words =
+    Alloc.words_over_steps sim ~warm:100 ~n:10_000 (fun () -> Sim.wake_all q)
+  in
   check_bool "never admitted" false !passed;
-  check_int "minor words over 10,000 re-checks" 0 words
+  check_float "words over 10,000 re-checks" 0.0 words
 
 let test_wait_queue_episode_allocates_continuation () =
   let sim = Sim.create () in
@@ -1345,15 +1326,37 @@ let test_wait_queue_episode_allocates_continuation () =
       done);
   let n = 10_000 in
   let words =
-    words_over_steps sim ~warm:100 ~n (fun () ->
+    Alloc.words_over_steps sim ~warm:100 ~n (fun () ->
         ready := true;
         Sim.wake_all q)
   in
   check_int "one episode per wake" (100 + n) !episodes;
   check_bool
-    (Printf.sprintf "%d words over %d episodes: at most 2 each" words n)
+    (Printf.sprintf "%.0f words over %d episodes: at most 2 each" words n)
     true
-    (words <= 2 * n)
+    (words <= 2.0 *. float_of_int n)
+
+(* A process's sleep allocates its continuation and the [Job_k] event
+   that resumes it, 2 words each: the effect is a constant constructor,
+   its span rides in a cell, and the heap's entries are reused once it
+   has its size. A boxed span or a closure per sleep reads more. *)
+let test_sleep_allocates_continuation () =
+  let sim = Sim.create () in
+  let n = 10_000 and words = ref Float.nan in
+  Sim.spawn_at sim Time.zero (fun () ->
+      let sleeps k =
+        for _ = 1 to k do
+          Sim.sleep (Time.us 1)
+        done
+      in
+      sleeps 100;
+      words := Alloc.allocated_words (fun () -> sleeps n));
+  Sim.run sim;
+  let per_sleep = !words /. float_of_int n in
+  check_bool
+    (Printf.sprintf "%.2f words per sleep over %d sleeps, at most 4" per_sleep
+       n)
+    true (per_sleep <= 4.0)
 
 (* --- Stats --- *)
 
@@ -1502,7 +1505,9 @@ let () =
         [ tc "re-check allocates nothing" `Quick
             test_wait_queue_recheck_allocates_nothing;
           tc "episode allocates its continuation" `Quick
-            test_wait_queue_episode_allocates_continuation ] );
+            test_wait_queue_episode_allocates_continuation;
+          tc "sleep allocates its continuation" `Quick
+            test_sleep_allocates_continuation ] );
       ( "stats",
         [ tc "histogram basic" `Quick test_histogram_basic;
           tc "histogram clear" `Quick test_histogram_clear;

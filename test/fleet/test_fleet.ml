@@ -735,6 +735,30 @@ let test_memory_per_client () =
 let test_memory_per_client_8mb () =
   check_slope ~image_mb:8 ~replicas:2 ~n:50 ~limit_kb:100.
 
+(* Host allocation per event of a whole fleet run, set-up included:
+   100 clients of an 8 MB image on 16 replicas, about 3.2 M events. It
+   reads 3.84 words in a fresh process and 3.74 after this section's
+   live-heap runs have filled the scratch pools. The bound is 1.25 times
+   the fresh reading, so a boxed value per event (5.84) fails it; one
+   per frame hop, register access or sleep alone stays under it, and
+   the net, storage and engine memory sections catch those. *)
+let test_words_per_event () =
+  let events = ref 0 in
+  let words =
+    Alloc.allocated_words (fun () ->
+        let r =
+          Scaleout.deploy_fleet ~seed:42 ~image_mb:8
+            ~boot_profile:Bmcast_guest.Os.cloud_minimal ~machines:100
+            ~replicas:16 ()
+        in
+        events := r.Scaleout.sim_events)
+  in
+  let per_event = words /. float_of_int !events in
+  check_bool
+    (Printf.sprintf "%.2f words per event over %d events, at most 4.8"
+       per_event !events)
+    true (per_event <= 4.8)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "fleet"
@@ -784,4 +808,5 @@ let () =
       ( "memory",
         [ tc "live heap per client" `Slow test_memory_per_client;
           tc "live heap per client, 8 MB image" `Slow
-            test_memory_per_client_8mb ] ) ]
+            test_memory_per_client_8mb;
+          tc "words per event" `Slow test_words_per_event ] ) ]

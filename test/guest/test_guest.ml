@@ -343,17 +343,6 @@ let test_ycsb_average_window () =
 
 (* --- memory --- *)
 
-(* Words [f ()] allocates: minor words plus words allocated straight
-   into the major heap, read with a minor collection before each
-   reading because OCaml 5.1's [Gc.allocated_bytes] lags by up to a
-   minor heap until the next one. *)
-let allocated_words f =
-  Gc.minor ();
-  let before = Gc.allocated_bytes () in
-  f ();
-  Gc.minor ();
-  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
-
 (* Words per command over 10,000 64-sector commands on a bare-metal
    machine, after 1,000 that bring the scheduler's queues, the scratch
    pool and the disk's extents to their size. A command may allocate
@@ -383,7 +372,7 @@ let words_per_command disk_kind op =
         done
       in
       commands 1_000;
-      words := allocated_words (fun () -> commands 10_000) /. 10_000.0);
+      words := Alloc.allocated_words (fun () -> commands 10_000) /. 10_000.0);
   !words
 
 (* A CPU burst under a virtualization tax allocates only its sleep's
@@ -406,7 +395,7 @@ let test_cpu_burst_memory () =
           done
         in
         bursts 1_000;
-        allocated_words (fun () -> bursts 10_000) /. 10_000.0)
+        Alloc.allocated_words (fun () -> bursts 10_000) /. 10_000.0)
   in
   check_bool
     (Printf.sprintf "%.1f words per burst, at most 5" words)

@@ -717,6 +717,51 @@ let test_fabric_blocking_rx_fails () =
   | exception Sim.Process_failure (name, _) ->
     Alcotest.(check string) "process" "b-egress" name
 
+(* --- memory --- *)
+
+(* Words a job allocates sending [n] 64-byte frames from [src] to [dst],
+   50 us apart, after 100 warm-up frames that give the frame pool, the
+   rings and the event heap their size. Each frame is delivered before
+   the next leaves (it takes 21 us), so the readings cover whole trips:
+   the uplink job, the switch, the egress job and the rx handler. *)
+let words_over_trips sim src ~dst ~n =
+  let payload = Packet.Raw "frame" in
+  Alloc.words_over_steps ~every:(Time.us 50) sim ~warm:100 ~n (fun () ->
+      Fabric.send src ~dst ~size_bytes:64 payload)
+
+(* A frame travels in a pooled record on run-to-completion jobs, so
+   once the pool has its size a send and its delivery allocate nothing.
+   A closure or an option per frame on the path reads at least 2 words
+   each. *)
+let test_unicast_allocates_nothing () =
+  let sim = Sim.create () in
+  let fab = Fabric.create sim () in
+  let delivered = ref 0 in
+  let a = Fabric.attach fab ~name:"a" (fun _ -> ()) in
+  let b = Fabric.attach fab ~name:"b" (fun _ -> incr delivered) in
+  let words = words_over_trips sim a ~dst:(Fabric.port_id b) ~n:10_000 in
+  check_int "every frame delivered" 10_100 !delivered;
+  Alcotest.(check (float 0.)) "words over 10,000 frames" 0.0 words
+
+(* The switch gives each of a group's 16 members a pooled copy of the
+   record; the payload is shared. *)
+let test_mcast_allocates_nothing () =
+  let sim = Sim.create () in
+  let fab = Fabric.create sim () in
+  let group = Fabric.mcast_group fab in
+  let delivered = ref 0 in
+  let a = Fabric.attach fab ~name:"a" (fun _ -> ()) in
+  for i = 1 to 16 do
+    let m =
+      Fabric.attach fab ~name:(Printf.sprintf "m%d" i) (fun _ ->
+          incr delivered)
+    in
+    Fabric.mcast_join m ~group
+  done;
+  let words = words_over_trips sim a ~dst:group ~n:10_000 in
+  check_int "every copy delivered" (16 * 10_100) !delivered;
+  Alcotest.(check (float 0.)) "words over 10,000 frames to 16 members" 0.0 words
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "net"
@@ -760,6 +805,10 @@ let () =
           tc "original frame recycled" `Quick
             test_mcast_original_frame_recycled;
           tc "bad group rejected" `Quick test_mcast_bad_group_rejected ] );
+      ( "memory",
+        [ tc "unicast allocates nothing" `Quick test_unicast_allocates_nothing;
+          tc "multicast allocates nothing" `Quick test_mcast_allocates_nothing
+        ] );
       ( "nic",
         [ tc "tx" `Quick test_nic_tx;
           tc "rx ring" `Quick test_nic_rx_ring;

@@ -685,22 +685,10 @@ let test_ssd_no_seek_penalty () =
          let far = Disk.service_time d `Read ~lba:900_000 ~count:8 in
          check_int "uniform latency" near far))
 
-(* Words [f ()] allocates: minor words plus words allocated straight
-   into the major heap. Between minor collections OCaml 5.1's
-   [Gc.allocated_bytes] advances one byte per word allocated, not eight,
-   and catches up only at the next minor collection; one before each
-   reading makes it exact. *)
-let allocated_words f =
-  Gc.minor ();
-  let before = Gc.allocated_bytes () in
-  f ();
-  Gc.minor ();
-  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
-
 (* Words per call over [calls] calls of [f], after one warm-up call. *)
 let words_per_call ~calls f =
   f ();
-  allocated_words (fun () ->
+  Alloc.allocated_words (fun () ->
       for _ = 1 to calls do
         f ()
       done)
@@ -715,7 +703,7 @@ let test_peek_into_allocates_no_sector_block () =
   let lba = 300_000 and count = 65_536 in
   Disk.poke d ~lba ~count (Content.image_sectors ~lba ~count);
   let out = Content.zeroes ~count in
-  let words = allocated_words (fun () -> Disk.peek_into d ~lba ~count out) in
+  let words = Alloc.allocated_words (fun () -> Disk.peek_into d ~lba ~count out) in
   check_bool "sectors staged" true
     (Array.for_all2 Content.equal out (Content.image_sectors ~lba ~count));
   check_bool
@@ -966,6 +954,23 @@ let test_ahci_structure_lookup () =
   Ahci.set_slot rig.ahci ~clb:rig.clb ~slot:3 ~table_addr:table;
   check_int "slot set" table (Ahci.slot_table_addr rig.ahci ~clb:rig.clb ~slot:3)
 
+(* A register value is an untagged int on its way through [Mmio] and
+   the controller, and the region lookup builds nothing, so a driver's
+   polling loop allocates nothing: 100,000 accesses, the reads and the
+   acknowledge a driver polls a command with. A boxed value or an option
+   per access reads at least 2 words each. *)
+let test_ahci_registers_allocate_nothing () =
+  let rig = ahci_rig () in
+  let words =
+    Alloc.allocated_words (fun () ->
+        for _ = 1 to 25_000 do
+          ignore
+            (ahci_reg rig Ahci.Regs.px_ci + ahci_reg rig Ahci.Regs.px_tfd : int);
+          ahci_wreg rig Ahci.Regs.px_is (ahci_reg rig Ahci.Regs.px_is)
+        done)
+  in
+  Alcotest.(check (float 0.)) "words over 100,000 register accesses" 0.0 words
+
 (* --- IDE --- *)
 
 type ide_rig = {
@@ -1160,7 +1165,9 @@ let () =
         [ tc "peek_into allocates no block per sector" `Quick
             test_peek_into_allocates_no_sector_block;
           tc "poke words per call" `Quick test_poke_allocation;
-          tc "peek_into words per call" `Quick test_peek_into_allocation ] );
+          tc "peek_into words per call" `Quick test_peek_into_allocation;
+          tc "ahci registers allocate nothing" `Quick
+            test_ahci_registers_allocate_nothing ] );
       ( "ahci",
         [ tc "read flow" `Quick test_ahci_read_flow;
           tc "write flow" `Quick test_ahci_write_flow;
