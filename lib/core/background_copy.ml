@@ -8,14 +8,16 @@ module Trace = Bmcast_obs.Trace
 module Metrics = Bmcast_obs.Metrics
 
 type ops = {
-  fetch : lba:int -> count:int -> Content.t array;
+  fetch : lba:int -> count:int -> Content.t array -> unit;
   write_empty : lba:int -> count:int -> Content.t array -> int;
   guest_io_rate : unit -> float;
   redirect_active : unit -> bool;
   guest_last_lba : unit -> int option;
 }
 
-type chunk = { lba : int; data : Content.t array }
+(* A fetched chunk: its sectors are [data.(0 .. count - 1)] of a
+   [Content.Scratch] array, which the writer releases once written. *)
+type chunk = { lba : int; count : int; data : Content.t array }
 
 type t = {
   sim : Sim.t;
@@ -120,17 +122,21 @@ let rec retriever t =
       let tr = Sim.trace t.sim in
       let traced = Trace.on tr ~cat:"bgcopy" in
       let fetch_started = Sim.now t.sim in
-      (match t.ops.fetch ~lba ~count with
-      | data ->
+      let data = Content.Scratch.alloc count in
+      (match t.ops.fetch ~lba ~count data with
+      | () ->
         if traced then
           Trace.complete tr ~cat:"bgcopy"
             ~args:(tagged t [ ("lba", Trace.Int lba); ("count", Trace.Int count) ])
             "fetch" ~ts:fetch_started;
         t.consecutive_fetch_failures <- 0;
         t.cursor <- lba + count;
-        Mailbox.send t.fifo { lba; data };
+        Mailbox.send t.fifo { lba; count; data };
         retriever t
       | exception e ->
+        (* A timed-out or rejected read has left the client's table, so
+           no late fragment can land in [data]. *)
+        if transient_fetch_error e then Content.Scratch.release data;
         (* A VMM shutdown tears the transport down under us; a transport
            timeout or target error is a fault to ride out — back off
            (exponentially, so sustained target loss quiesces the
@@ -210,9 +216,9 @@ let rec writer t =
        atomically. *)
     let write_started = Sim.now t.sim in
     let written =
-      t.ops.write_empty ~lba:chunk.lba ~count:(Array.length chunk.data)
-        chunk.data
+      t.ops.write_empty ~lba:chunk.lba ~count:chunk.count chunk.data
     in
+    Content.Scratch.release chunk.data;
     t.bytes_written <- t.bytes_written + (written * 512);
     Bmcast_obs.Stats.Rate.add t.copy_rate (Sim.now t.sim)
       (float_of_int (written * 512));
@@ -225,8 +231,7 @@ let rec writer t =
         "write-chunk" ~ts:write_started;
     t.in_flight <-
       List.filter
-        (fun (fl, fc) ->
-          not (fl = chunk.lba && fc = Array.length chunk.data))
+        (fun (fl, fc) -> not (fl = chunk.lba && fc = chunk.count))
         t.in_flight;
     if image_complete t then finish t else writer t
   end

@@ -11,11 +11,15 @@
     filled in the meantime (the bitmap consistency rule). *)
 
 type ops = {
-  fetch : lba:int -> count:int -> Bmcast_storage.Content.t array;
-      (** retrieve from the storage server *)
+  fetch : lba:int -> count:int -> Bmcast_storage.Content.t array -> unit;
+      (** retrieve the storage server's sectors into the array's first
+          [count] places; the array is a {!Bmcast_storage.Content.Scratch}
+          one, possibly longer, whose first [count] places are zero *)
   write_empty : lba:int -> count:int -> Bmcast_storage.Content.t array -> int;
       (** multiplexed write of the still-empty sectors only (the
-          mediator's atomic check-and-write); returns sectors written *)
+          mediator's atomic check-and-write) from the array's first
+          [count] places; returns sectors written. The copy releases
+          the array to the scratch pool once this returns. *)
   guest_io_rate : unit -> float;
   redirect_active : unit -> bool;
       (** copy-on-read in flight: the guest is faulting cold blocks *)

@@ -248,26 +248,26 @@ let vmm_write t ~lba ~count data =
   check_window "vmm_write" ~count data ~pos:0;
   each_held t Write ~lba ~count data ~pos:0 ~off:0
 
-(* Commands over the run [run, run + count) of a held device; [data] is
-   indexed by [sector - lba]. *)
-let rec write_run t data ~lba ~run ~count ~off =
+(* Commands over the run [run, run + count) of a held device; sector
+   [s] comes from [data.(base + s)]. *)
+let rec write_run t data ~base ~run ~count ~off =
   if off < count then begin
     let n = min t.dev.max_sectors (count - off) in
-    issue_vmm t Write ~lba:(run + off) ~count:n data ~pos:(run - lba + off);
-    write_run t data ~lba ~run ~count ~off:(off + n)
+    issue_vmm t Write ~lba:(run + off) ~count:n data ~pos:(base + run + off);
+    write_run t data ~base ~run ~count ~off:(off + n)
   end
 
 (* Write and mark each empty run of [from, limit) in turn; returns
    [written] plus the sectors written. Sectors past the image (the
    bitmap's end) count as filled. *)
-let rec write_empty_runs t data ~lba ~limit ~from written =
+let rec write_empty_runs t data ~base ~limit ~from written =
   let s = Bitmap.next_empty t.bitmap ~from ~limit in
   if s >= limit then written
   else begin
     let e = Bitmap.next_filled t.bitmap ~from:(s + 1) ~limit in
-    write_run t data ~lba ~run:s ~count:(e - s) ~off:0;
+    write_run t data ~base ~run:s ~count:(e - s) ~off:0;
     ignore (Bitmap.fill_range t.bitmap ~lba:s ~count:(e - s) : int);
-    write_empty_runs t data ~lba ~limit ~from:e (written + e - s)
+    write_empty_runs t data ~base ~limit ~from:e (written + e - s)
   end
 
 (* Write only sectors still empty, with the emptiness check made while
@@ -275,9 +275,12 @@ let rec write_empty_runs t data ~lba ~limit ~from written =
    either already in the bitmap (checked here) or queued behind us (and
    then overwrite us, which is the correct final state). Marks written
    sectors filled. Returns the number of sectors written. *)
-let vmm_write_empty t ~lba ~count data =
+let vmm_write_empty t ~lba ~count data ~pos =
+  check_window "vmm_write_empty" ~count data ~pos;
   hold t;
-  match write_empty_runs t data ~lba ~limit:(lba + count) ~from:lba 0 with
+  match
+    write_empty_runs t data ~base:(pos - lba) ~limit:(lba + count) ~from:lba 0
+  with
   | written ->
     release t;
     written
@@ -303,14 +306,16 @@ let redirect t g c ~lba ~count =
   let sim = t.machine.Machine.sim in
   let started = Sim.now sim in
   let data = Content.zeroes ~count in
-  (* Assemble the request: empty sub-ranges from the server (2.
-     Retrieve), filled sub-ranges from the local disk via multiplexed
-     reads. *)
+  (* Assemble the request in [data]: empty sub-ranges from the server
+     (2. Retrieve), filled sub-ranges from the local disk via
+     multiplexed reads. Each lands in its own window of [data], so a
+     write-back still reading one window never meets a read filling
+     another. *)
   let empty = empty_in_image t ~lba ~count in
   List.iter
     (fun (sub_lba, sub_count) ->
-      let fetched = Aoe_client.read t.aoe ~lba:sub_lba ~count:sub_count in
-      Content.blit fetched 0 data (sub_lba - lba) sub_count;
+      let pos = sub_lba - lba in
+      Aoe_client.read_into t.aoe ~lba:sub_lba ~count:sub_count data ~pos;
       t.stats.redirected_sectors <- t.stats.redirected_sectors + sub_count;
       (* Write back to the local disk for future use — asynchronously,
          so the guest's read does not also pay the local write. The
@@ -319,7 +324,8 @@ let redirect t g c ~lba ~count =
          copy). *)
       t.inflight_redirects <- t.inflight_redirects + 1;
       Sim.spawn ~name:(t.dev.name ^ "-writeback") (fun () ->
-          ignore (vmm_write_empty t ~lba:sub_lba ~count:sub_count fetched : int);
+          ignore
+            (vmm_write_empty t ~lba:sub_lba ~count:sub_count data ~pos : int);
           t.inflight_redirects <- t.inflight_redirects - 1))
     empty;
   List.iter

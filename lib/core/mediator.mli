@@ -22,11 +22,12 @@
     strictly after the VMM's, anything the guest writes still lands last
     (the consistency rule of §3.3). A VMM command moves its sectors by
     DMA straight to or from its caller's array: the device's one
-    bindable buffer names a window of that array while the command is
-    in flight, and nothing between commands. So {b a VMM command's
-    caller must not write its array while the command is in flight}
-    (every caller hands over an array it does not touch again until the
-    call returns).
+    bindable buffer names the command's window of that array while the
+    command is in flight, and nothing between commands. So {b nothing
+    may write a VMM command's window while the command is in flight}.
+    Other windows of the same array are free: a redirect's write-backs
+    and its filled-part reads share its assembly array, each on its own
+    sub-range.
 
     [devirtualize] removes the controller's interposers: all register
     traffic then flows directly to the hardware and the trap counter
@@ -146,13 +147,20 @@ val vmm_write : t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> u
     context); raises as {!vmm_read} does. *)
 
 val vmm_write_empty :
-  t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> int
-(** Write only sectors still unfilled, with the emptiness check made
-    {e while holding the device} — the atomic check-and-write of §3.3
-    that prevents a stale server block from clobbering a fresher guest
+  t ->
+  lba:int ->
+  count:int ->
+  Bmcast_storage.Content.t array ->
+  pos:int ->
+  int
+(** [vmm_write_empty t ~lba ~count data ~pos] writes the sectors of
+    [lba .. lba + count - 1] that are still unfilled, sector [s] from
+    [data.(pos + s - lba)], with the emptiness check made {e while
+    holding the device} — the atomic check-and-write of §3.3 that
+    prevents a stale server block from clobbering a fresher guest
     write. Marks written sectors in the bitmap; returns how many
-    sectors were written (process context). The [data] array is indexed
-    by [sector - lba]. The empty runs are found with
+    sectors were written (process context); raises as {!vmm_read}
+    does. The empty runs are found with
     {!Bitmap.next_empty}/{!Bitmap.next_filled} as they are written, so
     a fill builds no list. *)
 

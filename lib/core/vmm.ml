@@ -234,15 +234,21 @@ let deployment t =
             let lba = min lba (t.params.Params.image_sectors - 1) in
             let count = min count (t.params.Params.image_sectors - lba) in
             if not (Bitmap.range_filled t.bitmap ~lba ~count) then begin
-              let data = Aoe_client.read t.aoe ~lba ~count in
+              let data = Content.Scratch.alloc count in
+              Aoe_client.read_into t.aoe ~lba ~count data ~pos:0;
               ignore
-                (Mediator.vmm_write_empty t.mediator ~lba ~count data : int)
+                (Mediator.vmm_write_empty t.mediator ~lba ~count data ~pos:0
+                  : int);
+              Content.Scratch.release data
             end)
           t.boot_prefetch);
   let ops =
     { Background_copy.fetch =
-        (fun ~lba ~count -> Aoe_client.read t.aoe ~lba ~count);
-      write_empty = Mediator.vmm_write_empty t.mediator;
+        (fun ~lba ~count dst ->
+          Aoe_client.read_into t.aoe ~lba ~count dst ~pos:0);
+      write_empty =
+        (fun ~lba ~count data ->
+          Mediator.vmm_write_empty t.mediator ~lba ~count data ~pos:0);
       guest_io_rate = (fun () -> guest_io_rate t);
       redirect_active = (fun () -> Mediator.redirect_active t.mediator);
       guest_last_lba = (fun () -> Mediator.guest_last_lba t.mediator) }
@@ -409,7 +415,9 @@ let boot machine ~params ~server_port ?route ?on_aoe_response ?mcast_group
           let data = Mailbox.recv fifo in
           let lba = Ring.pop fifo_lbas and count = Array.length data in
           if (not t.shut_down) && not (Bitmap.is_complete t.bitmap) then begin
-            let wrote = Mediator.vmm_write_empty t.mediator ~lba ~count data in
+            let wrote =
+              Mediator.vmm_write_empty t.mediator ~lba ~count data ~pos:0
+            in
             t.mcast_filled_bytes <- t.mcast_filled_bytes + (wrote * 512)
           end;
           Content.Scratch.release data;

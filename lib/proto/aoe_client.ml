@@ -271,9 +271,14 @@ let query_capacity t =
   in
   (run_command t request None ~out:[||] ~out_off:0).response_lba
 
-let read t ~lba ~count =
-  if count <= 0 then invalid_arg "Aoe_client.read: count must be positive";
-  let out = Content.zeroes ~count in
+let read_into t ~lba ~count dst ~pos =
+  if count <= 0 then
+    invalid_arg "Aoe_client.read_into: count must be positive";
+  if pos < 0 || pos > Array.length dst - count then
+    invalid_arg
+      (Printf.sprintf
+         "Aoe_client.read_into: %d sectors at %d leave the array (%d)" count
+         pos (Array.length dst));
   let rec go off =
     if off < count then begin
       let n = min t.max_read_sectors (count - off) in
@@ -288,11 +293,16 @@ let read t ~lba ~count =
           lba = lba + off;
           count = n }
       in
-      ignore (run_command t request None ~out ~out_off:off : pending);
+      ignore (run_command t request None ~out:dst ~out_off:(pos + off) : pending);
       go (off + n)
     end
   in
-  go 0;
+  go 0
+
+let read t ~lba ~count =
+  if count <= 0 then invalid_arg "Aoe_client.read: count must be positive";
+  let out = Content.zeroes ~count in
+  read_into t ~lba ~count out ~pos:0;
   out
 
 let write t ~lba ~count data =

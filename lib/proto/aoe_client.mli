@@ -60,7 +60,17 @@ exception Target_error of string
     out-of-range request). *)
 
 val read : t -> lba:int -> count:int -> Bmcast_storage.Content.t array
-(** Blocking read (process context). *)
+(** Blocking read into a fresh array (process context). *)
+
+val read_into :
+  t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> pos:int -> unit
+(** [read_into t ~lba ~count dst ~pos]: {!read} of the target's sectors
+    [lba .. lba + count - 1] into [dst.(pos .. pos + count - 1)], where
+    the response fragments land in place (process context). Raises
+    [Invalid_argument] before any command if [count <= 0] or the window
+    leaves [dst]. Nothing else may write the window while the read is
+    in flight; on {!Timeout} or {!Target_error} it may hold part of the
+    answer. *)
 
 val write : t -> lba:int -> count:int -> Bmcast_storage.Content.t array -> unit
 (** Blocking write (process context). *)

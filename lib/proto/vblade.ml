@@ -66,12 +66,24 @@ let restart t =
   if Trace.on (Sim.trace t.sim) ~cat:"server" then
     Trace.instant (Sim.trace t.sim) ~cat:"server" "restart"
 
+(* Whether the daemon that took a request in [epoch] is still the one
+   running: a crash since then orphans the request. *)
+let live t ~epoch = t.up && t.epoch = epoch
+
 (* vblade's sendto blocks when the socket buffer fills — the root of the
    single-thread bottleneck the paper fixed with a worker pool. A
    response conceived before a crash (stale epoch) is lost with the
    process that was sending it. *)
 let respond t ~epoch ~dst hdr data =
-  if t.up && t.epoch = epoch then Aoe.send_wait (port t) ~dst hdr data
+  if live t ~epoch then Aoe.send_wait (port t) ~dst hdr data
+
+(* A request counts as served only when its whole answer went out in
+   the epoch that took it. *)
+let count_served t ~epoch ~sectors =
+  if live t ~epoch then begin
+    t.requests_served <- t.requests_served + 1;
+    t.bytes_served <- t.bytes_served + (sectors * 512)
+  end
 
 let bad_range t hdr =
   (hdr.Aoe.command = Aoe.Ata_read || hdr.Aoe.command = Aoe.Ata_write)
@@ -128,8 +140,10 @@ let serve t job =
         [||]
     | () ->
       let per_frame = Aoe.max_sectors ~mtu:t.mtu in
+      (* A crash ends the stream: the rest of the answer died with the
+         daemon. *)
       let rec stream off frag =
-        if off < hdr.Aoe.count then begin
+        if off < hdr.Aoe.count && live t ~epoch then begin
           let n = min per_frame (hdr.Aoe.count - off) in
           let d = Content.Scratch.alloc n in
           Content.blit data off d 0 n;
@@ -145,11 +159,10 @@ let serve t job =
       in
       stream 0 0;
       Content.Scratch.release data;
-      t.requests_served <- t.requests_served + 1;
-      t.bytes_served <- t.bytes_served + (hdr.Aoe.count * 512))
+      count_served t ~epoch ~sectors:hdr.Aoe.count)
   | Aoe.Query_config ->
     (* Target discovery: capacity rides in the LBA field. *)
-    t.requests_served <- t.requests_served + 1;
+    count_served t ~epoch ~sectors:0;
     respond t ~epoch ~dst:job.src
       { hdr with
         Aoe.is_response = true;
@@ -160,8 +173,7 @@ let serve t job =
     Semaphore.with_permit t.disk_lock (fun () ->
         Disk.write t.disk ~lba:hdr.Aoe.lba ~count:hdr.Aoe.count
           job.frame.Aoe.data);
-    t.requests_served <- t.requests_served + 1;
-    t.bytes_served <- t.bytes_served + (hdr.Aoe.count * 512);
+    count_served t ~epoch ~sectors:hdr.Aoe.count;
     respond t ~epoch ~dst:job.src { hdr with Aoe.is_response = true } [||]
 
 let rec worker_loop t =
@@ -221,14 +233,14 @@ let multicast t ~group ~lba ~count ?(passes = 4) ?(gap = Time.ms 50) () =
         let ts = Sim.now t.sim in
         let frames = ref 0 in
         let rec stream off frag =
-          if off < count && t.up && t.epoch = epoch then begin
+          if off < count && live t ~epoch then begin
             let n = min per_frame (count - off) in
             let d = Content.zeroes ~count:n in
             (match Disk.peek_into t.disk ~lba:(lba + off) ~count:n d with
             | exception Disk.Read_error _ -> ()
             | () ->
               Sim.sleep (Time.mul per_sector_cpu n);
-              if t.up && t.epoch = epoch then begin
+              if live t ~epoch then begin
                 Aoe.send_wait (port t) ~dst:group
                   { Aoe.major = 0;
                     minor = 0;

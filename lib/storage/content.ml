@@ -107,12 +107,14 @@ let fill_run (a : t array) off len ~run ~pos =
   end
   else fill a off len run
 
-(* Size-bucketed free lists of sector-content scratch arrays, shared
-   process-wide (pool state never influences simulated values — arrays
-   are cleared to [zero] on release, exactly what [Array.make] would
-   yield — so determinism across runs and sims is untouched). AoE read
-   streaming allocates and frees one fragment-sized array per frame;
-   without reuse that is a dominant allocation site at fleet scale. *)
+(* Free lists of sector-content scratch arrays, shared process-wide.
+   Requests of up to [exact_max] sectors (AoE fragments, multicast fill
+   copies) get arrays of exactly their length; longer ones get the
+   power-of-two size class above them, so the pool holds a bounded set
+   of lengths however many distinct counts a fleet asks for. [alloc]
+   zeroes the window it hands out, which is what [Array.make] would
+   yield there, so pool state never influences simulated values and
+   determinism across runs and sims is untouched. *)
 module Scratch = struct
   type bucket = { mutable stack : t array array; mutable n : int }
 
@@ -121,6 +123,18 @@ module Scratch = struct
 
   let buckets : bucket Lengths.t = Lengths.create 16
   let empty : t array = [||]
+  let exact_max = 256
+
+  (* The power-of-two size class of a request of [len > exact_max]. *)
+  let size_class len =
+    let c = ref (2 * exact_max) in
+    while !c < len do
+      c := 2 * !c
+    done;
+    !c
+
+  (* The length of the array that serves a request of [len > 0]. *)
+  let class_length len = if len <= exact_max then len else size_class len
 
   (* One-entry memo: steady-state traffic uses very few distinct sizes
      (fragment size and max command size), so skip the table lookup. *)
@@ -147,21 +161,23 @@ module Scratch = struct
     if len < 0 then invalid_arg "Content.Scratch.alloc: negative length";
     if len = 0 then empty
     else begin
-      let b = bucket len in
+      let c = class_length len in
+      let b = bucket c in
       if b.n > 0 then begin
         let n = b.n - 1 in
         b.n <- n;
         let a = b.stack.(n) in
         b.stack.(n) <- empty;
+        fill a 0 len zero;
         a
       end
-      else Array.make len zero
+      else Array.make c zero
     end
 
+  (* An array of a length [alloc] never hands out is left to the GC. *)
   let release a =
     let len = Array.length a in
-    if len > 0 then begin
-      fill a 0 len zero;
+    if len > 0 && class_length len = len then begin
       let b = bucket len in
       if b.n = Array.length b.stack then begin
         let grown = Array.make (max 8 (2 * b.n)) empty in

@@ -76,12 +76,21 @@ val fill_run : t array -> int -> int -> run:int -> pos:int -> unit
     [a.(off+len-1)] the sectors that run value [run] gives positions
     [pos] ... [pos+len-1], as {!fill} checks its window. *)
 
-(** Pooled sector-content scratch arrays for request-scoped buffers
-    (AoE fragments, whole-command reads, DMA staging). [alloc n] yields
-    an all-{!zero} array of length [n] exactly like [Array.make]; the
-    owner hands it back with [release] once no live reference remains —
-    the array is cleared and reused. Dropping a scratch array to the GC
-    instead of releasing is always safe, merely unpooled. *)
+(** Pooled sector-content scratch arrays for request-scoped buffers,
+    shared process-wide. [alloc n] yields an array whose first [n]
+    sectors are {!zero}, as [Array.make n zero] would: exactly [n] long
+    for [n <= 256] (AoE fragments, multicast fill copies), and the
+    power-of-two size class at or above [n] otherwise (the sectors past
+    [n] hold whatever the array last carried), so callers pass their
+    count along with the array. Whoever holds an array last hands it
+    back with [release] once no live reference remains: the background
+    copy's writer its chunk after the write-if-empty, vblade and peer
+    serving their whole-command staging, AHCI/IDE command execution its
+    staging, the boot prefetch and the multicast fill their copies, and
+    the AoE client each response fragment it reassembled.
+    Dropping a scratch array to the GC instead of releasing is always
+    safe, merely unpooled; an array of a length [alloc] never returns
+    is left to the GC. *)
 module Scratch : sig
   val alloc : int -> t array
   val release : t array -> unit

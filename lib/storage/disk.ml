@@ -152,11 +152,11 @@ let peek t ~lba ~count =
   Array.map Content.view out
 
 (* Split written data into runs of one run value so extents stay
-   compact. *)
+   compact. Only [data]'s first [count] sectors are written: a scratch
+   array may be longer. *)
 let poke t ~lba ~count data =
   check_span t ~lba ~count;
-  if Array.length data <> count then
-    invalid_arg "Disk.poke: data length mismatch";
+  if count > Array.length data then invalid_arg "Disk.poke: buffer too short";
   let start = ref 0 in
   while !start < count do
     let run = Content.run_of data.(!start) ~pos:(lba + !start) in

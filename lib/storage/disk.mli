@@ -76,6 +76,9 @@ val peek : t -> lba:int -> count:int -> Content.view array
 (** The sectors' views, for code that matches on them. *)
 
 val poke : t -> lba:int -> count:int -> Content.t array -> unit
+(** [poke t ~lba ~count data] stores [data.(0 .. count - 1)]; [data]
+    may be longer (a {!Content.Scratch} array). Raises
+    [Invalid_argument] if it is shorter. *)
 
 (** [peek_into t ~lba ~count buf] stores the sectors into a caller-owned
     all-{!Content.zero} buffer, allocating nothing per sector; see

@@ -106,8 +106,10 @@ type rig = {
 
 let small = { Disk.hdd_constellation2 with Disk.capacity_sectors = 1 lsl 22 }
 
+(* [tap] sees every frame the client's port receives, before the
+   client. *)
 let make_rig ?(loss = 0.0) ?(workers = 8) ?(mtu = 9000) ?timeout
-    ?max_read_sectors () =
+    ?max_read_sectors ?(tap = fun (_ : Aoe.frame) -> ()) () =
   let sim = Sim.create () in
   let fab = Fabric.create sim ~mtu ~loss_rate:loss () in
   let server_disk = Disk.create sim small in
@@ -118,7 +120,9 @@ let make_rig ?(loss = 0.0) ?(workers = 8) ?(mtu = 9000) ?timeout
   let port =
     Fabric.attach fab ~name:"client" (fun pkt ->
         match pkt.Bmcast_net.Packet.payload with
-        | Aoe.Frame f -> Option.iter (fun c -> Aoe_client.on_frame c f) !client_ref
+        | Aoe.Frame f ->
+          tap f;
+          Option.iter (fun c -> Aoe_client.on_frame c f) !client_ref
         | _ -> ())
   in
   let send hdr data = Aoe.send port ~dst:(Vblade.port_id vblade) hdr data in
@@ -589,6 +593,33 @@ let test_mcast_crash_suppresses_pass () =
   check_bool "first pass truncated" true (!got < full);
   check_bool "second pass streamed" true (!got >= count)
 
+(* A crash as the first fragment of a 1,024-sector answer reaches the
+   client cuts the stream short (the socket buffer holds 8 fragments of
+   61): the server stops streaming and does not count the command. The
+   retransmission after the restart is served, and counted, once. *)
+let test_vblade_crash_cuts_read () =
+  let rig_ref = ref None in
+  let tap frame =
+    match !rig_ref with
+    | Some r when frame.Aoe.hdr.Aoe.is_response && Vblade.crashes r.vblade = 0
+      ->
+      Vblade.crash r.vblade;
+      Sim.schedule r.sim
+        (Time.add (Sim.now r.sim) (Time.ms 5))
+        (fun () -> Vblade.restart r.vblade)
+    | Some _ | None -> ()
+  in
+  let rig = make_rig ~timeout:(Time.ms 20) ~tap () in
+  rig_ref := Some rig;
+  let count = 1024 in
+  let data = run_in rig (fun () -> Aoe_client.read rig.client ~lba:0 ~count) in
+  check_bool "read completes" true
+    (Array.for_all2 Content.equal data (Content.image_sectors ~lba:0 ~count));
+  check_int "crashed once" 1 (Vblade.crashes rig.vblade);
+  check_int "one retransmission" 1 (Aoe_client.retransmits rig.client);
+  check_int "only the answered command served" (count * 512)
+    (Vblade.bytes_served rig.vblade)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "proto"
@@ -611,7 +642,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_client_correct_under_loss;
           tc "jumbo vs standard" `Quick test_jumbo_vs_standard_frames ] );
       ( "vblade",
-        [ tc "thread pool throughput" `Quick test_vblade_thread_pool_throughput ] );
+        [ tc "thread pool throughput" `Quick test_vblade_thread_pool_throughput;
+          tc "crash cuts a read short" `Quick test_vblade_crash_cuts_read ] );
       ( "gossip",
         [ QCheck_alcotest.to_alcotest prop_gossip_wire_roundtrip;
           QCheck_alcotest.to_alcotest prop_gossip_runs_canonical;

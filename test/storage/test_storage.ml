@@ -63,6 +63,57 @@ let test_content_scratch_reuse () =
   Content.Scratch.release b;
   Content.Scratch.release c
 
+(* The length of the array that serves a scratch request of [n]
+   sectors: [n] itself up to 256, the power of two at or above it
+   beyond. *)
+let scratch_class n =
+  if n <= 256 then n
+  else begin
+    let c = ref 512 in
+    while !c < n do
+      c := 2 * !c
+    done;
+    !c
+  end
+
+(* The pool's contract over lengths 1-16,384: [alloc n] is exactly [n]
+   long up to 256 sectors and a power of two above; its first [n]
+   sectors are zero even when the array last served a longer, dirty
+   request of its class; and a released array serves any later length
+   of its class. *)
+let prop_scratch_contract =
+  QCheck.Test.make ~name:"scratch arrays come in classes, zeroed, reused"
+    ~count:500
+    QCheck.(pair (int_range 1 16_384) small_nat)
+    (fun (n, r) ->
+      let c = scratch_class n in
+      let zeroed a len =
+        Array.for_all (Content.equal Content.zero) (Array.sub a 0 len)
+      in
+      let dirty a =
+        Content.fill_run a 0 (Array.length a)
+          ~run:(Content.run_of (Content.image 7) ~pos:0)
+          ~pos:0
+      in
+      (* The class's longest request, dirtied throughout. *)
+      let longest = Content.Scratch.alloc c in
+      dirty longest;
+      Content.Scratch.release longest;
+      let pooled = Content.Scratch.free_count c in
+      let a = Content.Scratch.alloc n in
+      let first =
+        a == longest && Array.length a = c && zeroed a n
+        && Content.Scratch.free_count c = pooled - 1
+      in
+      dirty a;
+      Content.Scratch.release a;
+      (* Any other length of the class. *)
+      let m = if c <= 256 then c else (c / 2) + 1 + (r mod (c / 2)) in
+      let b = Content.Scratch.alloc m in
+      let later = b == a && zeroed b m in
+      Content.Scratch.release b;
+      first && later)
+
 (* The encoding's payload range: signed 61-bit ints. *)
 let limit = 1 lsl 60
 
@@ -521,6 +572,25 @@ let test_disk_poke_peek_roundtrip () =
            [| Content.Image 100; Content.Image 101; Content.Image 102 |]
            (Disk.peek d ~lba:100 ~count:3);
          Alcotest.check content_testable "outside" Content.zero (Disk.sector d 99)))
+
+(* A scratch array may be longer than the run it carries: [poke]
+   writes its first [count] sectors and leaves the rest of the disk
+   alone; a buffer shorter than [count] is refused. *)
+let test_disk_poke_buffer_window () =
+  ignore
+    (in_proc (fun sim ->
+         let d = Disk.create sim small_hdd in
+         Disk.poke d ~lba:100 ~count:5 (Content.image_sectors ~lba:100 ~count:8);
+         Alcotest.(check (array view_testable))
+           "first count sectors written"
+           [| Content.Zero; Content.Image 100; Content.Image 101;
+              Content.Image 102; Content.Image 103; Content.Image 104;
+              Content.Zero; Content.Zero |]
+           (Disk.peek d ~lba:99 ~count:8);
+         check_bool "shorter buffer raises" true
+           (match Disk.poke d ~lba:0 ~count:9 (Content.zeroes ~count:8) with
+           | () -> false
+           | exception Invalid_argument _ -> true)))
 
 let test_disk_mixed_content_runs () =
   ignore
@@ -1128,6 +1198,7 @@ let () =
         [ tc "equal" `Quick test_content_equal;
           tc "constructors" `Quick test_content_constructors;
           tc "scratch pool reuse" `Quick test_content_scratch_reuse;
+          QCheck_alcotest.to_alcotest prop_scratch_contract;
           QCheck_alcotest.to_alcotest prop_content_view_roundtrip;
           QCheck_alcotest.to_alcotest prop_content_out_of_range_raises;
           QCheck_alcotest.to_alcotest prop_content_blit_fill_match_array ] );
@@ -1151,6 +1222,7 @@ let () =
           tc "free" `Quick test_dma_free ] );
       ( "disk",
         [ tc "poke peek roundtrip" `Quick test_disk_poke_peek_roundtrip;
+          tc "poke writes its count" `Quick test_disk_poke_buffer_window;
           tc "mixed content runs" `Quick test_disk_mixed_content_runs;
           QCheck_alcotest.to_alcotest prop_disk_poke_peek;
           tc "sequential faster" `Quick test_disk_sequential_faster_than_random;
